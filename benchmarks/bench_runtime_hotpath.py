@@ -1,20 +1,15 @@
 """Hot-path throughput benchmark: simulator events/sec + solver solves/sec.
 
 Measures the two quantities that bound every figure reproduction in this
-repo (see ISSUE 2 / README "Performance"):
+repo (see README "Performance"):
 
 - **events/sec** of the discrete-event engine + topology runtime on
   four canonical topology shapes: ``linear`` (chain), ``diamond``
   (fan-out heavy — the paper's SIFT-style multiplier shape), ``loop``
   (feedback with broadcast) and ``fanout`` (homogeneous shared-queue
-  fan-out — the array runtime's target shape);
-- **equivalent events/sec** of the array-backed fast path
-  (``fanout_array``): the object engine's event count for the same
-  seeded workload divided by the array runtime's wall time, so the two
-  rows are directly comparable;
+  fan-out);
 - **events/sec** of the bare event core draining a self-rescheduling
-  churn workload under the ``heap`` and ``calendar`` schedulers
-  (``drain_heap`` / ``drain_calendar``);
+  churn workload (``drain_heap``);
 - **solves/sec** of Algorithm 1 (``assign_processors`` at Kmax=200
   total processors) and of the Program-6 solver
   (``min_processors_for_target``).
@@ -48,17 +43,15 @@ from repro.queueing.jackson import JacksonNetwork, OperatorLoad
 from repro.scheduler.allocation import Allocation
 from repro.scheduler.assign import assign_processors
 from repro.scheduler.min_resources import min_processors_for_target
-from repro.sim.array_runtime import array_capable, run_array
 from repro.sim.engine import Simulator
 from repro.sim.runtime import RuntimeOptions, TopologyRuntime
 from repro.topology.builder import TopologyBuilder
 from repro.topology.grouping import BroadcastGrouping, FieldsGrouping
 
-#: v2 adds ``simulator.fanout`` (object engine), ``simulator.fanout_array``
-#: (array fast path, equivalent events/sec), and the bare-engine
-#: ``simulator.drain_heap`` / ``simulator.drain_calendar`` rows.  Every
-#: v1 key is unchanged.
-SCHEMA = "bench_runtime_hotpath/v2"
+#: v3 drops the ``simulator.fanout_array`` and ``simulator.drain_calendar``
+#: rows and the ``scheduler`` / ``spilled_events`` keys of
+#: ``simulator.drain_heap``.  Every other key is unchanged from v2.
+SCHEMA = "bench_runtime_hotpath/v3"
 
 
 # ----------------------------------------------------------------------
@@ -129,9 +122,7 @@ def loop_case():
 
 def fanout_case():
     """Homogeneous shared-queue fan-out: one spout broadcasting to eight
-    identical M/M/k operators — the shape the array runtime targets.
-    Run on the object engine as ``fanout`` and through
-    :func:`repro.sim.array_runtime.run_array` as ``fanout_array``."""
+    identical M/M/k operators."""
     builder = TopologyBuilder("bench_fanout").add_spout("src", rate=400.0)
     names = [f"op{i}" for i in range(8)]
     for name in names:
@@ -182,44 +173,15 @@ def run_sim_case(name: str, scale: float) -> dict:
     }
 
 
-def run_array_case(name: str, scale: float, equivalent_events: int) -> dict:
-    """The array fast path on a SIM_CASES shape.
-
-    ``equivalent_events`` is the object engine's event count for the
-    identical seeded workload (the transplanted substreams make both
-    paths simulate the same arrivals), so ``events_per_sec`` here is
-    directly comparable to the object-engine row.
-    """
-    build, base_duration = SIM_CASES[name]
-    topology, allocation, options = build()
-    reason = array_capable(topology, options)
-    if reason is not None:  # pragma: no cover - bench misconfiguration
-        raise SystemExit(f"case {name!r} not array-capable: {reason}")
-    duration = base_duration * scale
-    started = time.perf_counter()
-    stats = run_array(topology, allocation, options, duration=duration)
-    wall = time.perf_counter() - started
-    return {
-        "simulated_seconds": duration,
-        "events": equivalent_events,
-        "wall_seconds": wall,
-        "events_per_sec": (
-            equivalent_events / wall if wall > 0 else None
-        ),
-        "completed_trees": stats.completed_trees,
-    }
-
-
-def run_drain_case(scheduler: str, scale: float) -> dict:
+def run_drain_case(scale: float) -> dict:
     """Bare event core: drain a self-rescheduling churn workload.
 
-    Seeds the queue with enough live events to cross the calendar
-    scheduler's spill threshold, then every dispatched event reschedules
-    itself until the budget is spent — exercising push, pop, spill and
-    pour with no topology-runtime work in the loop.
+    Seeds the heap with a large live backlog, then every dispatched
+    event reschedules itself until the budget is spent — exercising push
+    and pop with no topology-runtime work in the loop.
     """
     rng = random.Random(99)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     budget = int(160_000 * scale)
     initial = min(budget, int(16_000 * scale))
     scheduled = 0
@@ -238,9 +200,7 @@ def run_drain_case(scheduler: str, scale: float) -> dict:
     wall = time.perf_counter() - started
     events = sim.processed_events
     return {
-        "scheduler": scheduler,
         "events": events,
-        "spilled_events": sim.spilled_events,
         "wall_seconds": wall,
         "events_per_sec": events / wall if wall > 0 else None,
     }
@@ -390,27 +350,11 @@ def main(argv=None) -> int:
         result["simulator"][name] = sim_rows[name]
         rate = result["simulator"][name]["events_per_sec"]
         print(f"simulator/{name}: {rate:,.0f} events/sec", file=sys.stderr)
-    result["simulator"]["fanout_array"] = best_of(
-        args.repeat,
-        run_array_case,
-        "fanout",
-        args.scale,
-        result["simulator"]["fanout"]["events"],
+    result["simulator"]["drain_heap"] = best_of(
+        args.repeat, run_drain_case, args.scale
     )
-    rate = result["simulator"]["fanout_array"]["events_per_sec"]
-    print(
-        f"simulator/fanout_array: {rate:,.0f} equivalent events/sec"
-        f" ({rate / result['simulator']['fanout']['events_per_sec']:.1f}x"
-        " object engine)",
-        file=sys.stderr,
-    )
-    for scheduler in ("heap", "calendar"):
-        case = f"drain_{scheduler}"
-        result["simulator"][case] = best_of(
-            args.repeat, run_drain_case, scheduler, args.scale
-        )
-        rate = result["simulator"][case]["events_per_sec"]
-        print(f"simulator/{case}: {rate:,.0f} events/sec", file=sys.stderr)
+    rate = result["simulator"]["drain_heap"]["events_per_sec"]
+    print(f"simulator/drain_heap: {rate:,.0f} events/sec", file=sys.stderr)
     result["solver"]["assign_k200"] = best_of(
         args.repeat, run_assign_bench, args.solver_iters
     )

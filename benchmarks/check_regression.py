@@ -32,10 +32,10 @@ import sys
 
 DEFAULT_BASELINE = pathlib.Path(__file__).parent / "BENCH_RUNTIME_baseline.json"
 
-#: (section, case, metric) triples gated by the check.  The v2 rows
-#: (fanout, fanout_array, drain_*) gate the batched event core and the
-#: array fast path; a baseline predating them skips those rows with a
-#: warning instead of failing, so the schema bump is non-breaking.
+#: (section, case, metric) triples gated by the check.  A baseline
+#: predating a row (e.g. the v2 ``fanout`` / ``drain_heap`` rows) skips
+#: it with a warning instead of failing, so schema bumps are
+#: non-breaking.
 TRACKED = [
     ("simulator", "linear", "events_per_sec"),
     # The platform_off baseline is a copy of pre-platform linear: the
@@ -45,9 +45,7 @@ TRACKED = [
     ("simulator", "diamond", "events_per_sec"),
     ("simulator", "loop", "events_per_sec"),
     ("simulator", "fanout", "events_per_sec"),
-    ("simulator", "fanout_array", "events_per_sec"),
     ("simulator", "drain_heap", "events_per_sec"),
-    ("simulator", "drain_calendar", "events_per_sec"),
     ("solver", "assign_k200", "solves_per_sec"),
     ("solver", "assign_k200_cold", "solves_per_sec"),
     ("solver", "min_resources", "solves_per_sec"),

@@ -24,11 +24,6 @@ from repro.randomness.distributions import (
     Scaled,
     distribution_from_spec,
 )
-from repro.randomness.batched import (
-    BatchedDraws,
-    BatchedExponential,
-    DEFAULT_BLOCK,
-)
 from repro.randomness.arrival import (
     ArrivalProcess,
     PoissonProcess,
@@ -55,9 +50,6 @@ __all__ = [
     "Shifted",
     "Scaled",
     "distribution_from_spec",
-    "BatchedDraws",
-    "BatchedExponential",
-    "DEFAULT_BLOCK",
     "ArrivalProcess",
     "PoissonProcess",
     "UniformRateProcess",

@@ -341,7 +341,7 @@ def run_replication(spec: ScenarioSpec, index: int) -> ReplicationResult:
             else None
         ),
     )
-    simulator = Simulator(scheduler=options.scheduler)
+    simulator = Simulator()
     runtime = TopologyRuntime(simulator, topology, allocation, options)
 
     negotiator = None

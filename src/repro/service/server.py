@@ -143,7 +143,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise DRSError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise DRSError("request body is empty")

@@ -26,12 +26,9 @@ from repro.sim.cluster import Machine, Cluster
 from repro.sim.rebalancing import RebalanceCostModel, RebalanceStyle
 from repro.sim.negotiator import SimResourceNegotiator
 from repro.sim.runtime import TopologyRuntime, RuntimeOptions, RunStats
-from repro.sim.array_runtime import array_capable, run_array
 
 __all__ = [
     "Simulator",
-    "array_capable",
-    "run_array",
     "EventHandle",
     "Machine",
     "Cluster",

@@ -17,27 +17,16 @@ Two scheduling surfaces share one queue (and one tie-breaking sequence):
   ``(time, seq, kind, a, b)`` records; the loop dispatches by kind
   through the handler table.  No per-event closure, no handle object.
 
-Schedulers
-----------
-The near-term structure is always a binary heap (callers may push
-``(time, seq, ...)`` records into ``_queue`` directly — the topology
-runtime inlines exactly that).  Above a pending-event threshold the
-engine *spills* far-future events into a calendar ladder: coarse time
-buckets keyed off a fixed origin/width, poured back bucket-by-bucket as
-the clock approaches them.  The heap then stays small, so every push
-and pop costs ``O(log threshold)`` instead of ``O(log pending)``.
-
-Because the total order is ``(time, seq)`` and the drain refuses to
-dispatch a heap entry at or beyond the earliest remaining bucket, the
-dispatch sequence is *bit-identical* to the pure heap's — the ladder is
-a throughput optimisation, never a semantic one.  ``scheduler="heap"``
-pins the pure reference path (golden suites run there), ``"calendar"``
-forces aggressive spilling, and the default ``"auto"`` engages the
-ladder only past :data:`SPILL_THRESHOLD` pending events.
+The queue is a single binary heap of ``(time, seq, kind, a, b)``
+records; callers may push such records into ``_queue`` directly (the
+topology runtime inlines exactly that).  Every push and pop costs
+``O(log pending)``, which stays cheap at the largest backlogs the shipped
+workloads reach (thousands of pending events under a closed-loop client
+population).
 
 Cancelled handles are counted and excluded from :attr:`pending_events`;
-when more than half of the queued entries are cancelled the structures
-are compacted in place.  Compaction subtracts the entries it actually
+when more than half of the queued entries are cancelled the heap is
+compacted in place.  Compaction subtracts the entries it actually
 removed (rather than zeroing the counter), so a drain that has already
 consumed part of a cancelled backlog cannot trigger a second O(n) pass
 over the same, already-clean backlog.
@@ -47,27 +36,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.exceptions import SimulationError
 
 #: Kind 1 is the handle-based callback surface; registered handlers
 #: start at 2 (kind 0 is reserved).
 _KIND_HANDLE = 1
-
-#: Pending-event count above which ``scheduler="auto"`` spills far
-#: events into the calendar ladder.  Chosen well above every figure
-#: reproduction's steady-state pending count (hundreds), so the
-#: reference workloads never leave the pure heap path.
-SPILL_THRESHOLD = 4096
-
-#: Bucket count per spill: the spilled span is divided into this many
-#: calendar buckets.  Coarse on purpose — a poured bucket is heapified,
-#: so skewed spans degrade gracefully back into heap behaviour.
-_SPILL_BUCKETS = 256
-
-_SCHEDULERS = ("auto", "heap", "calendar")
 
 
 class EventHandle:
@@ -94,7 +69,7 @@ class EventHandle:
 
 
 class Simulator:
-    """Event loop with a virtual clock.
+    """Event loop with a virtual clock over one binary heap.
 
     Usage::
 
@@ -102,51 +77,16 @@ class Simulator:
         sim.schedule(1.5, lambda: print("fired at", sim.now))
         sim.run_until(10.0)
 
-    ``scheduler`` selects the queue strategy: ``"auto"`` (default)
-    spills to the calendar ladder above ``spill_threshold`` pending
-    events, ``"heap"`` pins the pure binary-heap reference path, and
-    ``"calendar"`` forces an aggressive (low-threshold) ladder.  All
-    three dispatch the exact same event sequence.
+    Events fire in ``(time, seq)`` order: by time, and at equal times in
+    the order they were scheduled.
     """
 
-    def __init__(
-        self,
-        *,
-        scheduler: str = "auto",
-        spill_threshold: int = SPILL_THRESHOLD,
-    ):
-        if scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"scheduler must be one of {_SCHEDULERS}, got {scheduler!r}"
-            )
-        if spill_threshold < 16:
-            raise SimulationError("spill_threshold must be >= 16")
+    def __init__(self):
         self._now = 0.0
         self._queue = []  # (time, seq, kind, a, b)
         self._seq = 0
         self._processed = 0
         self._cancelled = 0
-        self._scheduler = scheduler
-        if scheduler == "heap":
-            # One compare against maxsize disables spilling entirely.
-            self._spill_threshold = sys.maxsize
-        elif scheduler == "calendar":
-            self._spill_threshold = min(spill_threshold, 64)
-        else:
-            self._spill_threshold = spill_threshold
-        # Calendar ladder: far-future events in coarse buckets.  The
-        # boundary is the earliest remaining bucket's start time; the
-        # drain never dispatches a heap entry at or past it.
-        self._ladder: Dict[int, list] = {}
-        self._ladder_keys: List[int] = []  # heap of bucket indices
-        self._ladder_count = 0
-        self._origin = 0.0
-        self._width = 1.0
-        self._boundary = math.inf
-        # Raised after a no-op spill (tail all at one timestamp) so a
-        # degenerate backlog cannot re-trigger the O(n log n) partition
-        # on every subsequent push.
-        self._spill_block = 0
         # Handler table indexed by kind; slots 0/1 are the callback and
         # handle surfaces, dispatched inline by the loop.
         self._handlers: List[Optional[Callable]] = [None, None]  # kinds 0/1
@@ -157,24 +97,23 @@ class Simulator:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """The scheduler strategy this simulator was built with."""
-        return self._scheduler
-
-    @property
     def processed_events(self) -> int:
         """Total number of events executed so far."""
         return self._processed
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (heap + ladder) and not cancelled."""
-        return len(self._queue) + self._ladder_count - self._cancelled
+        """Events still queued and not cancelled."""
+        return len(self._queue) - self._cancelled
 
     @property
     def spilled_events(self) -> int:
-        """Events currently parked in the calendar ladder."""
-        return self._ladder_count
+        """Always 0: every pending event lives in the one heap.
+
+        Kept for instrumentation that samples it alongside
+        :attr:`pending_events`.
+        """
+        return 0
 
     # ------------------------------------------------------------------
     # scheduling
@@ -196,13 +135,9 @@ class Simulator:
         """
         if not delay >= 0.0:  # catches all negative delays and NaN
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        queue = self._queue
-        heapq.heappush(queue, (time, seq, kind, a, b))
-        if len(queue) > self._spill_threshold:
-            self._spill()
+        heapq.heappush(self._queue, (self._now + delay, seq, kind, a, b))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` time units from now."""
@@ -219,84 +154,8 @@ class Simulator:
         handle = EventHandle(time, callback, self)
         seq = self._seq
         self._seq = seq + 1
-        queue = self._queue
-        heapq.heappush(queue, (time, seq, _KIND_HANDLE, handle, None))
-        if len(queue) > self._spill_threshold:
-            self._spill()
+        heapq.heappush(self._queue, (time, seq, _KIND_HANDLE, handle, None))
         return handle
-
-    # ------------------------------------------------------------------
-    # calendar ladder
-    # ------------------------------------------------------------------
-    def _spill(self) -> None:
-        """Move far-future heap entries into the calendar ladder.
-
-        Keeps the soonest ``spill_threshold // 2`` entries (by time) in
-        the heap; everything later lands in coarse buckets.  No-op when
-        the tail shares one timestamp (nothing to separate).
-        """
-        queue = self._queue
-        if len(queue) <= self._spill_block:
-            return
-        keep = self._spill_threshold // 2
-        times = sorted(entry[0] for entry in queue)
-        cutoff = times[keep]
-        last = times[-1]
-        if not cutoff < last:  # degenerate: tail is one timestamp
-            self._spill_block = len(queue) * 2
-            return
-        if self._ladder_count == 0:
-            # (Re-)anchor bucket geometry on the spilled span.
-            self._origin = cutoff
-            self._width = (last - cutoff) / _SPILL_BUCKETS
-        origin = self._origin
-        width = self._width
-        floor = max(cutoff, origin)
-        ladder = self._ladder
-        keys = self._ladder_keys
-        kept = []
-        moved = 0
-        for entry in queue:
-            t = entry[0]
-            if t < floor:
-                kept.append(entry)
-                continue
-            index = int((t - origin) / width)
-            bucket = ladder.get(index)
-            if bucket is None:
-                ladder[index] = [entry]
-                heapq.heappush(keys, index)
-            else:
-                bucket.append(entry)
-            moved += 1
-        if not moved:
-            self._spill_block = len(queue) * 2
-            return
-        self._spill_block = 0
-        queue[:] = kept  # in place: loop-local aliases stay valid
-        heapq.heapify(queue)
-        self._ladder_count += moved
-        self._boundary = origin + keys[0] * width
-
-    def _pour(self) -> None:
-        """Merge the earliest bucket back into the heap and advance the
-        boundary to the next remaining bucket (or infinity)."""
-        keys = self._ladder_keys
-        index = heapq.heappop(keys)
-        bucket = self._ladder.pop(index)
-        queue = self._queue
-        if bucket:
-            if len(bucket) * 4 < len(queue):
-                push = heapq.heappush
-                for entry in bucket:
-                    push(queue, entry)
-            else:
-                queue.extend(bucket)
-                heapq.heapify(queue)
-            self._ladder_count -= len(bucket)
-        self._boundary = (
-            self._origin + keys[0] * self._width if keys else math.inf
-        )
 
     # ------------------------------------------------------------------
     # cancellation bookkeeping
@@ -305,9 +164,7 @@ class Simulator:
         """Account a cancellation; compact when more than half of the
         pending entries are dead weight."""
         self._cancelled += 1
-        if self._cancelled > 8 and (
-            self._cancelled * 2 > len(self._queue) + self._ladder_count
-        ):
+        if self._cancelled > 8 and self._cancelled * 2 > len(self._queue):
             removed = self._compact()
             # Subtract what compaction actually removed instead of
             # zeroing the counter: entries of this backlog that an
@@ -319,27 +176,17 @@ class Simulator:
                 self._cancelled = 0
 
     def _compact(self) -> int:
-        """Drop cancelled handle entries from the heap and the ladder;
-        returns how many entries were removed."""
+        """Drop cancelled handle entries from the heap; returns how many
+        entries were removed."""
         queue = self._queue
-        before = len(queue) + self._ladder_count
+        before = len(queue)
         queue[:] = [
             entry
             for entry in queue
             if not (entry[2] == _KIND_HANDLE and entry[3].cancelled)
         ]
         heapq.heapify(queue)
-        if self._ladder_count:
-            for index, bucket in self._ladder.items():
-                bucket[:] = [
-                    entry
-                    for entry in bucket
-                    if not (entry[2] == _KIND_HANDLE and entry[3].cancelled)
-                ]
-            self._ladder_count = sum(
-                len(bucket) for bucket in self._ladder.values()
-            )
-        return before - (len(queue) + self._ladder_count)
+        return before - len(queue)
 
     # ------------------------------------------------------------------
     # running
@@ -347,20 +194,12 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
         queue = self._queue
-        handlers = self._handlers
-        while True:
-            if self._ladder_count and (
-                not queue or queue[0][0] >= self._boundary
-            ):
-                self._pour()
-                continue
-            if not queue:
-                return False
+        while queue:
             time, _, kind, a, b = heapq.heappop(queue)
             if kind >= 2:
                 self._now = time
                 self._processed += 1
-                handlers[kind](a, b)
+                self._handlers[kind](a, b)
                 return True
             if a.cancelled:
                 self._cancelled -= 1
@@ -371,6 +210,7 @@ class Simulator:
             self._processed += 1
             callback()
             return True
+        return False
 
     def run_until(self, horizon: float) -> None:
         """Run events up to and including time ``horizon``.
@@ -385,22 +225,9 @@ class Simulator:
         queue = self._queue
         handlers = self._handlers
         heappop = heapq.heappop
-        spill_at = self._spill_threshold
-        boundary = self._boundary
-        while True:
-            if not queue:
-                if boundary <= horizon:
-                    self._pour()
-                    boundary = self._boundary
-                    continue
-                break
+        while queue:
             entry = queue[0]
             time = entry[0]
-            if time >= boundary:
-                # The ladder holds an earlier (or tie-earlier) event.
-                self._pour()
-                boundary = self._boundary
-                continue
             if time > horizon:
                 break
             heappop(queue)
@@ -419,9 +246,6 @@ class Simulator:
                 handle.callback = None
                 self._processed += 1
                 callback()
-            if len(queue) > spill_at:
-                self._spill()
-                boundary = self._boundary
         self._now = horizon
 
     def run_all(self, *, max_events: int = 50_000_000) -> None:

@@ -157,16 +157,6 @@ class RuntimeOptions:
     #: rate) and builds a fresh process per spout.  Composes with
     #: ``arrival_rate_phases``: phases wrap the model's output.
     arrival_model: Optional["ArrivalModel"] = None
-    #: Event-queue strategy handed to the :class:`Simulator` built for
-    #: this run: ``"auto"`` (ladder past the spill threshold), ``"heap"``
-    #: (pure reference path, golden-pinned), or ``"calendar"`` (force the
-    #: ladder).  All three dispatch bit-identical event sequences.
-    scheduler: str = "auto"
-    #: Batch service/spout random draws through numpy block generation
-    #: (:class:`~repro.randomness.batched.BatchedDraws`).  Bit-exact —
-    #: the replayed stream is identical to the scalar path — so results
-    #: are unchanged; only the draw cost is amortised.
-    batched_draws: bool = False
     #: Execution substrate — any object with
     #: ``bind(topology, allocation) -> binding`` (in practice a
     #: :class:`~repro.platform.spec.PlatformSpec`; the dependency is
@@ -192,11 +182,6 @@ class RuntimeOptions:
     backpressure: bool = False
 
     def __post_init__(self):
-        if self.scheduler not in ("auto", "heap", "calendar"):
-            raise SimulationError(
-                f"scheduler must be 'auto', 'heap' or 'calendar',"
-                f" got {self.scheduler!r}"
-            )
         if self.queue_discipline not in ("jsq", "hashed", "shared"):
             raise SimulationError(
                 f"queue_discipline must be 'jsq', 'hashed' or 'shared',"
@@ -542,21 +527,6 @@ class TopologyRuntime:
         self._spout_rngs = {
             name: rng_factory.stream("spout", name) for name in topology.spouts
         }
-        if self._options.batched_draws:
-            # Exact-replay block batching on the hot streams (service
-            # draws and arrival gaps).  Routing/hop/fanout streams stay
-            # scalar: they draw rarely and mix method types, where the
-            # fallback re-sync would cost more than it saves.
-            from repro.randomness.batched import BatchedDraws
-
-            self._service_rngs = {
-                name: BatchedDraws(rng)
-                for name, rng in self._service_rngs.items()
-            }
-            self._spout_rngs = {
-                name: BatchedDraws(rng)
-                for name, rng in self._spout_rngs.items()
-            }
         # Arrival processes can be stateful (rate-modulated, MMPP, trace
         # replay); deep-copy them so several runtimes can share one
         # Topology object without leaking clock state across runs.  An

@@ -10,7 +10,7 @@ Four contracts, mirroring the platform-layer suite's structure:
   queue actually fills.
 - **Determinism is pinned** — the golden fixture freezes the full
   completion stream and every new counter for one backpressure run and
-  one drop-path run, on the heap AND the calendar scheduler.
+  one drop-path run.
   Regenerate (only on an intended semantic change)::
 
       PYTHONPATH=src python tests/test_closed_loop.py --regen
@@ -19,8 +19,8 @@ Four contracts, mirroring the platform-layer suite's structure:
   a bounded-queue run drops exactly as before (the drop-path golden),
   and open-loop specs keep their content addresses (no new keys).
 - **The bake-off is executable** — closed-loop cells flow through
-  campaigns (resume included), both fast paths decline them with a
-  reason, and the ``slo_feedback`` policy holds its p95 target where
+  campaigns (resume included), the hybrid evaluator declines them with
+  a reason, and the ``slo_feedback`` policy holds its p95 target where
   the passive baseline diverges.
 """
 
@@ -44,7 +44,6 @@ from repro.scenarios.registry import available_policies, create_policy
 from repro.scenarios.runner import run_replication
 from repro.scenarios.spec import ScenarioSpec
 from repro.scheduler.allocation import Allocation
-from repro.sim.array_runtime import array_capable
 from repro.sim.engine import Simulator
 from repro.sim.runtime import RuntimeOptions, TopologyRuntime
 from repro.topology.builder import TopologyBuilder
@@ -75,10 +74,10 @@ def _completions_digest(runtime: TopologyRuntime) -> str:
     return digest.hexdigest()
 
 
-def _run(options: RuntimeOptions, *, duration=60.0, scheduler="auto"):
+def _run(options: RuntimeOptions, *, duration=60.0):
     topology = _chain_topology()
     allocation = Allocation(["a", "b"], [2, 2])
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     runtime = TopologyRuntime(sim, topology, allocation, options)
     runtime.start()
     sim.run_until(duration)
@@ -239,9 +238,9 @@ class TestOptionValidation:
 
 
 # ----------------------------------------------------------------------
-# golden determinism: heap == calendar == fixture
+# golden determinism: run == fixture
 # ----------------------------------------------------------------------
-def _golden_case(variant: str, scheduler: str) -> dict:
+def _golden_case(variant: str) -> dict:
     source = create_closed_loop_source(
         {
             "kind": "closed_loop",
@@ -259,7 +258,7 @@ def _golden_case(variant: str, scheduler: str) -> dict:
         closed_loop=source,
     )
     topology = _chain_topology()
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     runtime = TopologyRuntime(
         sim, topology, Allocation(["a", "b"], [2, 2]), options
     )
@@ -281,9 +280,8 @@ def _golden_case(variant: str, scheduler: str) -> dict:
 
 
 class TestGoldenDeterminism:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
     @pytest.mark.parametrize("variant", ["backpressure", "drop"])
-    def test_matches_fixture(self, variant, scheduler):
+    def test_matches_fixture(self, variant):
         path = GOLDEN_DIR / "closed_loop.json"
         if not path.exists():
             pytest.fail(
@@ -291,7 +289,7 @@ class TestGoldenDeterminism:
                 " `PYTHONPATH=src python tests/test_closed_loop.py --regen`"
             )
         fixture = json.loads(path.read_text())
-        assert _golden_case(variant, scheduler) == fixture[variant]
+        assert _golden_case(variant) == fixture[variant]
 
     def test_backpressure_never_drops(self):
         path = GOLDEN_DIR / "closed_loop.json"
@@ -334,21 +332,9 @@ class TestDefaultPathUnchanged:
 
 
 # ----------------------------------------------------------------------
-# fast paths decline closed-loop cells
+# the hybrid fast path declines closed-loop cells
 # ----------------------------------------------------------------------
 class TestFastPathGating:
-    def test_array_runtime_declines(self):
-        source = create_closed_loop_source(
-            {"kind": "closed_loop", "clients": 4, "think_time": 1.0}
-        )
-        reason = array_capable(
-            _chain_topology(),
-            RuntimeOptions(
-                seed=1, queue_discipline="shared", closed_loop=source
-            ),
-        )
-        assert reason is not None and "closed-loop" in reason
-
     def _manifest(self):
         from repro.campaigns.hybrid import GATED_METRICS
         from repro.fidelity.manifest import ToleranceManifest
@@ -559,7 +545,7 @@ class TestSloFeedback:
 def _regen() -> None:
     path = GOLDEN_DIR / "closed_loop.json"
     payload = {
-        variant: _golden_case(variant, "heap")
+        variant: _golden_case(variant)
         for variant in ("backpressure", "drop")
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -161,79 +161,78 @@ class TestCompactionBoundary:
         assert sim.pending_events == 0
 
 
-class TestCalendarScheduler:
-    def test_scheduler_knob_validation(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="fibonacci")
-        with pytest.raises(SimulationError):
-            Simulator(spill_threshold=2)
-        assert Simulator(scheduler="heap").scheduler == "heap"
+#: A backlog the ``closed_loop_population`` benchmark workload exceeds
+#: (it keeps thousands of events pending); every test below schedules
+#: more than this.
+BACKLOG = 4096
 
-    def test_calendar_spills_and_dispatches_identically(self):
+
+class TestLargeBacklog:
+    """The ``(time, seq)`` contract with more than :data:`BACKLOG`
+    events pending at once."""
+
+    def test_random_times_dispatch_in_time_seq_order(self):
         import random as _random
 
-        def run(scheduler):
-            rng = _random.Random(99)
-            sim = Simulator(scheduler=scheduler, spill_threshold=64)
-            fired = []
-            kind = sim.register_handler(lambda a, b: fired.append((sim.now, a)))
-            for i in range(500):
-                sim.schedule_event(rng.uniform(0.0, 100.0), kind, i)
-            spilled = sim.spilled_events
-            sim.run_until(100.0)
-            return fired, spilled
-
-        heap_fired, _ = run("heap")
-        cal_fired, cal_spilled = run("calendar")
-        auto_fired, _ = run("auto")
-        assert cal_spilled > 0  # the ladder actually engaged
-        assert cal_fired == heap_fired
-        assert auto_fired == heap_fired
-
-    def test_heap_scheduler_never_spills(self):
-        sim = Simulator(scheduler="heap")
-        kind = sim.register_handler(lambda a, b: None)
-        for i in range(10_000):
-            sim.schedule_event(float(i), kind)
+        rng = _random.Random(99)
+        sim = Simulator()
+        fired = []
+        kind = sim.register_handler(lambda a, b: fired.append((sim.now, a)))
+        times = [rng.uniform(0.0, 100.0) for _ in range(3 * BACKLOG)]
+        for i, t in enumerate(times):
+            sim.schedule_event(t, kind, i)
+        assert sim.pending_events == 3 * BACKLOG
         assert sim.spilled_events == 0
-        assert len(sim._queue) == 10_000
+        sim.run_until(100.0)
+        expected = sorted(range(len(times)), key=lambda i: (times[i], i))
+        assert fired == [(times[i], i) for i in expected]
 
-    def test_ties_preserved_across_spill_boundary(self):
-        sim = Simulator(scheduler="calendar", spill_threshold=64)
+    def test_ties_fire_in_schedule_order(self):
+        sim = Simulator()
         fired = []
         kind = sim.register_handler(lambda a, b: fired.append(a))
-        for i in range(300):
+        count = 2 * BACKLOG + 300
+        for i in range(count):
             sim.schedule_event(50.0 + (i % 7), kind, i)
         sim.run_until(100.0)
-        expected = sorted(range(300), key=lambda i: (i % 7, i))
-        assert fired == expected
+        assert fired == sorted(range(count), key=lambda i: (i % 7, i))
 
-    def test_cancellation_reaches_spilled_entries(self):
-        sim = Simulator(scheduler="calendar", spill_threshold=64)
+    def test_cancellation_compacts_large_backlog(self):
+        sim = Simulator()
+        count = BACKLOG + 1000
         handles = [sim.schedule(float(i) + 1.0, lambda: None)
-                   for i in range(400)]
-        assert sim.spilled_events > 0
-        for handle in handles[100:]:
+                   for i in range(count)]
+        for handle in handles[1000:]:
             handle.cancel()
-        # Compaction walked both heap and ladder buckets.
-        assert sim.pending_events == 100
+        # More than half cancelled: the heap was compacted in place.
+        assert sim.pending_events == 1000
+        assert len(sim._queue) < count
         fired = []
-        for handle in handles[:100]:
+        for handle in handles[:1000]:
             handle.callback = lambda: fired.append(1)
-        sim.run_until(500.0)
-        assert len(fired) == 100
+        sim.run_until(float(count) + 1.0)
+        assert len(fired) == 1000
         assert sim.pending_events == 0
+        assert sim._cancelled == 0
 
-    def test_step_pours_ladder(self):
-        sim = Simulator(scheduler="calendar", spill_threshold=64)
-        seen = []
-        kind = sim.register_handler(lambda a, b: seen.append(a))
-        for i in range(200):
-            sim.schedule_event(float(200 - i), kind, i)
-        assert sim.spilled_events > 0
-        while sim.step():
+    def test_step_and_run_until_dispatch_identically(self):
+        def load():
+            sim = Simulator()
+            seen = []
+            kind = sim.register_handler(lambda a, b: seen.append((sim.now, a)))
+            count = BACKLOG + 500
+            for i in range(count):
+                sim.schedule_event(float((count - i) % 97), kind, i)
+            return sim, seen
+
+        stepped, step_seen = load()
+        while stepped.step():
             pass
-        assert seen == list(reversed(range(200)))
+        drained, drain_seen = load()
+        drained.run_until(100.0)
+        assert step_seen == drain_seen
+        assert len(step_seen) == BACKLOG + 500
+        assert stepped.processed_events == drained.processed_events
 
 
 class TestTypedEvents:

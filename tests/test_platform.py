@@ -53,7 +53,6 @@ from repro.scheduler.heterogeneous import (
     assign_heterogeneous,
     expected_sojourn_heterogeneous,
 )
-from repro.sim.array_runtime import array_capable
 from repro.sim.engine import Simulator
 from repro.sim.runtime import RuntimeOptions, TopologyRuntime
 from repro.topology.builder import TopologyBuilder
@@ -592,18 +591,9 @@ def test_churn_golden():
 
 
 # ----------------------------------------------------------------------
-# fast paths decline platform cells
+# the hybrid fast path declines platform cells
 # ----------------------------------------------------------------------
 class TestFastPathGating:
-    def test_array_runtime_declines_platform(self):
-        topology = _chain_topology()
-        options = RuntimeOptions(
-            queue_discipline="shared",
-            platform=PlatformSpec.from_dict(PLATFORM),
-        )
-        reason = array_capable(topology, options)
-        assert reason is not None and "platform" in reason
-
     def test_hybrid_evaluator_declines_platform(self):
         evaluator = AnalyticCellEvaluator.default()
         fidelity = {

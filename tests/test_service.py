@@ -14,6 +14,7 @@ Three layers, three contracts:
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -312,6 +313,33 @@ class TestCancellation:
         assert progress["stored"] == 0
 
 
+def _raw_post_jobs(service, content_length: str):
+    """POST /jobs with a verbatim Content-Length header over a bare
+    socket; returns ``(status, json_body)``.  The socket timeout turns
+    a server that blocks on the body into a test failure, not a hang."""
+    request = (
+        "POST /jobs HTTP/1.1\r\n"
+        f"Host: {service.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "\r\n"
+        "{}"
+    ).encode("ascii")
+    with socket.create_connection(
+        (service.host, service.port), timeout=5.0
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
 class TestHTTPSurface:
     def test_health_and_empty_listing(self, service):
         client = ServiceClient(service.url)
@@ -410,3 +438,9 @@ class TestHTTPSurface:
             client.submit()
         with pytest.raises(ServiceError, match="exactly one"):
             client.submit(campaign={}, scenario={})
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service, content_length):
+        status, body = _raw_post_jobs(service, content_length)
+        assert status == 400
+        assert "Content-Length" in body["error"]
