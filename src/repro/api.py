@@ -300,7 +300,14 @@ def run_campaign(
     campaign, evaluator = _resolve(
         load_campaign(source), evaluation, evaluator, manifest, safety_margin
     )
-    if shards is not None:
+    if shards is None:
+        runner = CampaignRunner(
+            _as_store(store),
+            max_workers=workers,
+            evaluator=evaluator,
+            cancel=cancel,
+        )
+    else:
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if store is None:
@@ -312,21 +319,12 @@ def run_campaign(
 
         if isinstance(store, SegmentedResultStore):
             seg_store = store
-        elif isinstance(store, ResultStore):
-            seg_store = SegmentedResultStore(
-                store.root, segment="coordinator"
-            )
         else:
-            seg_store = SegmentedResultStore(store, segment="coordinator")
-        return ShardedCampaignRunner(
-            seg_store, shards=shards, evaluator=evaluator
-        ).run(campaign)
-    runner = CampaignRunner(
-        _as_store(store),
-        max_workers=workers,
-        evaluator=evaluator,
-        cancel=cancel,
-    )
+            root = store.root if isinstance(store, ResultStore) else store
+            seg_store = SegmentedResultStore(root, segment="coordinator")
+        runner = ShardedCampaignRunner(
+            seg_store, shards=shards, evaluator=evaluator, cancel=cancel
+        )
     return runner.run(campaign)
 
 

@@ -1,13 +1,27 @@
-"""Execute campaigns: expand the grid, skip stored work, run the rest.
+"""Execute campaigns: one planner, two executors.
 
-The runner plans one *job* per ``(cell, replication index)`` pair and
-asks the store (when one is attached) which jobs already have results.
-Remaining jobs are deduplicated by ``(spec hash, seed)`` — two grid
-cells that expand to identical simulation inputs share one computation
-— and distributed over a :class:`ProcessPoolExecutor`.  Every result is
-written to the store *the moment it completes* (atomically), so killing
-a campaign mid-run loses at most the replications in flight; a resumed
-run recomputes only those.
+:class:`CampaignRunner` is the only campaign planner.  One planning
+step, shared by :meth:`~CampaignRunner.plan` (``--dry-run``) and
+:meth:`~CampaignRunner.run`, expands the grid into one *job* per
+``(cell, replication index)``, decides each unique spec hash's
+evaluation path once, deduplicates jobs by ``(spec hash, seed)`` — two
+grid cells that expand to identical simulation inputs share one
+computation — and splits them three ways:
+
+- *cached*: the store holds a usable record (:func:`load_usable`);
+- *analytic*: answered inline by the hybrid fast path, always in the
+  coordinating process;
+- *simulated*: handed to the executor hook ``_execute``.
+
+Two executors implement that hook.  :class:`CampaignRunner` runs jobs
+in-process or over a :class:`ProcessPoolExecutor`, writing every result
+to the store *the moment it completes*, so killing a campaign mid-run
+loses at most the replications in flight.
+:class:`~repro.campaigns.shard.ShardedCampaignRunner` ships them to
+claim-racing shard workers instead.  Accounting and merging are the
+same code either way, so a campaign's :class:`CampaignResult` —
+per-cell ``computed``/``reused``/``path`` included — is identical
+whichever executor ran it.
 
 Evaluation modes (:attr:`CampaignSpec.evaluation`): ``simulate`` (the
 default) computes every job with the discrete-event engine, exactly as
@@ -55,10 +69,34 @@ from repro.scenarios.spec import ScenarioSpec
 #: and replication index that produce it.
 _Job = Tuple[str, int, ScenarioSpec, int]
 
+#: A job's content address: (spec hash, derived seed).
+_Key = Tuple[str, int]
+
 
 def _run_job(job: _Job) -> ReplicationResult:
     _, _, spec, index = job
     return run_replication(spec, index)
+
+
+def load_usable(
+    store: Optional[ResultStore], spec_hash: str, seed: int, path: str
+) -> Optional[ReplicationResult]:
+    """The stored result for one job, or ``None`` when it must compute.
+
+    The one cache predicate every planner and executor shares: the
+    record's path must satisfy the decided one (:func:`record_usable`)
+    *and* the record must rehydrate.  A shape-corrupted record is
+    recomputed — the same contract as a torn write.
+    """
+    if store is None:
+        return None
+    record = store.load_record(spec_hash, seed)
+    if record is None or not record_usable(record, path):
+        return None
+    try:
+        return ReplicationResult.from_dict(record["result"])
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 #: Rough serialized size of one stored replication record in the
@@ -190,8 +228,22 @@ class CampaignResult:
         }
 
 
+@dataclass(frozen=True)
+class _Planned:
+    """The shared planning step's output: the expanded grid, per-hash
+    path decisions, and the unique jobs split into cached results,
+    analytic-path jobs and simulated-path jobs (sweep order)."""
+
+    cells: List[CampaignCell]
+    evaluator: Optional[AnalyticCellEvaluator]
+    decisions: Dict[str, AnalyticDecision]
+    cached: Dict[_Key, ReplicationResult]
+    analytic: List[_Job]
+    simulated: List[_Job]
+
+
 class CampaignRunner:
-    """Runs campaigns, optionally against a resumable result store.
+    """Plans and runs campaigns, optionally against a resumable store.
 
     Without a store every replication is computed fresh — exactly what
     :class:`~repro.scenarios.runner.ScenarioRunner.run_many` would do
@@ -212,6 +264,9 @@ class CampaignRunner:
     so a cancelled campaign resumes from its store losing only work in
     flight.  This is the hook the job service's cancel endpoint (and
     its shutdown path) relies on.
+
+    Subclasses swap the executor by overriding :meth:`_execute`; the
+    planning, analytic answers and merge stay here.
     """
 
     def __init__(
@@ -242,61 +297,66 @@ class CampaignRunner:
     def plan(self, campaign: CampaignSpec) -> CampaignPlan:
         """Cache accounting without running anything (``--dry-run``).
 
-        Mirrors :meth:`run` exactly: unique ``(spec hash, seed)`` jobs
-        (identical cells share one), plus one uncacheable job per
-        overhead cell — so ``to_compute`` predicts ``run()``'s
-        ``computed`` count, path decisions included.
+        Built from the same planning step :meth:`run` executes: unique
+        ``(spec hash, seed)`` jobs (identical cells share one), plus one
+        uncacheable job per overhead cell — so ``to_compute`` equals
+        ``run()``'s ``computed`` count, path decisions included.
         """
-        cells = campaign.expand()
-        evaluator = resolve_evaluator(campaign.evaluation, self._evaluator)
-        decisions = self._decide_cells(campaign, cells, evaluator)
-        keys: Dict[Tuple[str, int], str] = {}
-        analytic_cells = simulated_cells = 0
-        for cell in _simulation_cells(cells):
-            spec_hash = cell.spec_hash
-            path = _cell_path(decisions, spec_hash)
-            if path == "analytic":
-                analytic_cells += 1
-            else:
-                simulated_cells += 1
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
-                keys[(spec_hash, seed)] = path
-        cached = 0
-        uncached_analytic = uncached_simulated = 0
-        for (spec_hash, seed), path in keys.items():
-            record = (
-                self._store.load_record(spec_hash, seed)
-                if self._store is not None
-                else None
-            )
-            if record is not None and record_usable(record, path):
-                cached += 1
-            elif path == "analytic":
-                uncached_analytic += 1
-            else:
-                uncached_simulated += 1
-        overhead = len(cells) - len(_simulation_cells(cells))
-        total = len(keys) + overhead
+        planned = self._plan(campaign)
+        simulation = _simulation_cells(planned.cells)
+        analytic_cells = sum(
+            1
+            for cell in simulation
+            if _cell_path(planned.decisions, cell.spec_hash) == "analytic"
+        )
+        overhead = len(planned.cells) - len(simulation)
+        analytic = len(planned.analytic)
+        simulated = len(planned.simulated)
         return CampaignPlan(
-            total=total,
-            cached=cached,
+            total=len(planned.cached) + analytic + simulated + overhead,
+            cached=len(planned.cached),
             axes=tuple(
                 (axis.name, len(axis.values)) for axis in campaign.axes
             ),
-            cells=len(cells),
+            cells=len(planned.cells),
             estimated_store_bytes=self._estimate_store_bytes(
-                uncached_simulated, uncached_analytic
+                simulated, analytic
             ),
             evaluation=campaign.evaluation,
             analytic_cells=analytic_cells,
-            simulated_cells=simulated_cells + overhead,
-            analytic_jobs=uncached_analytic,
-            estimated_analytic_seconds=uncached_analytic
+            simulated_cells=len(planned.cells) - analytic_cells,
+            analytic_jobs=analytic,
+            estimated_analytic_seconds=analytic
             * ESTIMATED_ANALYTIC_SECONDS_PER_JOB,
-            estimated_simulated_seconds=(uncached_simulated + overhead)
+            estimated_simulated_seconds=(simulated + overhead)
             * ESTIMATED_SIMULATED_SECONDS_PER_JOB,
         )
+
+    def _plan(self, campaign: CampaignSpec) -> _Planned:
+        """Expand, decide, dedup and load: the one planning step."""
+        cells = campaign.expand()
+        evaluator = resolve_evaluator(campaign.evaluation, self._evaluator)
+        decisions = self._decide_cells(campaign, cells, evaluator)
+        cached: Dict[_Key, ReplicationResult] = {}
+        analytic: List[_Job] = []
+        simulated: List[_Job] = []
+        pending = set()
+        for cell in _simulation_cells(cells):
+            spec_hash = cell.spec_hash
+            path = _cell_path(decisions, spec_hash)
+            for index in range(cell.spec.replications):
+                seed = replication_seed(cell.spec.seed, index)
+                key = (spec_hash, seed)
+                if key in cached or key in pending:
+                    continue
+                result = load_usable(self._store, spec_hash, seed, path)
+                if result is not None:
+                    cached[key] = result
+                    continue
+                pending.add(key)
+                job = (spec_hash, seed, cell.spec, index)
+                (analytic if path == "analytic" else simulated).append(job)
+        return _Planned(cells, evaluator, decisions, cached, analytic, simulated)
 
     def _estimate_store_bytes(self, simulated: int, analytic: int) -> int:
         """Layout-aware size estimate for uncached store-bound jobs.
@@ -324,44 +384,19 @@ class CampaignRunner:
     # execution
     # ------------------------------------------------------------------
     def run(self, campaign: CampaignSpec) -> CampaignResult:
-        cells = campaign.expand()
-        if not cells:
+        planned = self._plan(campaign)
+        if not planned.cells:
             raise ConfigurationError(
                 f"campaign {campaign.name!r} expands to no cells"
             )
-        evaluator = resolve_evaluator(campaign.evaluation, self._evaluator)
-        decisions = self._decide_cells(campaign, cells, evaluator)
-        cached: Dict[Tuple[str, int], ReplicationResult] = {}
-        sim_jobs: List[_Job] = []
-        analytic_jobs: List[_Job] = []
-        pending_keys = set()
-        for cell in _simulation_cells(cells):
-            spec_hash = cell.spec_hash
-            path = _cell_path(decisions, spec_hash)
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
-                key = (spec_hash, seed)
-                if key in cached or key in pending_keys:
-                    continue
-                result = self._load_usable(spec_hash, seed, path)
-                if result is not None:
-                    cached[key] = result
-                else:
-                    pending_keys.add(key)
-                    job = (spec_hash, seed, cell.spec, index)
-                    if path == "analytic":
-                        analytic_jobs.append(job)
-                    else:
-                        sim_jobs.append(job)
-
-        computed = self._answer_analytic(
-            campaign, cells, analytic_jobs, evaluator, decisions
+        computed = self._answer_analytic(campaign, planned)
+        computed.update(
+            self._execute(campaign, planned.cells, planned.simulated)
         )
-        computed.update(self._execute(campaign, cells, sim_jobs))
 
         results: List[CampaignCellResult] = []
         overhead_runs = 0
-        for cell in cells:
+        for cell in planned.cells:
             if cell.spec.kind != "simulation":
                 self._check_cancelled(campaign)
                 summary = ScenarioRunner(max_workers=1).run(cell.spec)
@@ -384,7 +419,7 @@ class CampaignRunner:
                     result = computed[key]
                 else:
                     reused += 1
-                    result = cached[key]
+                    result = planned.cached[key]
                 # A cell whose rep index differs from the cached record
                 # (same inputs reached via another cell) still reports
                 # its own index.
@@ -399,15 +434,15 @@ class CampaignRunner:
                     summary=summarize_replications(cell.spec, merged),
                     computed=fresh,
                     reused=reused,
-                    path=_cell_path(decisions, spec_hash),
+                    path=_cell_path(planned.decisions, spec_hash),
                 )
             )
         return CampaignResult(
             campaign=campaign,
             cells=tuple(results),
             computed=len(computed) + overhead_runs,
-            reused=len(cached),
-            analytic=len(analytic_jobs),
+            reused=len(planned.cached),
+            analytic=len(planned.analytic),
         )
 
     # ------------------------------------------------------------------
@@ -441,42 +476,23 @@ class CampaignRunner:
             decisions[cell.spec_hash] = decision
         return decisions
 
-    def _load_usable(
-        self, spec_hash: str, seed: int, path: str
-    ) -> Optional[ReplicationResult]:
-        """The stored result for this job — only if its record's path
-        satisfies the current decision (see :func:`record_usable`)."""
-        if self._store is None:
-            return None
-        record = self._store.load_record(spec_hash, seed)
-        if record is None or not record_usable(record, path):
-            return None
-        try:
-            return ReplicationResult.from_dict(record["result"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
     def _answer_analytic(
-        self,
-        campaign: CampaignSpec,
-        cells: Sequence[CampaignCell],
-        jobs: Sequence[_Job],
-        evaluator: Optional[AnalyticCellEvaluator],
-        decisions: Dict[str, AnalyticDecision],
-    ) -> Dict[Tuple[str, int], ReplicationResult]:
+        self, campaign: CampaignSpec, planned: _Planned
+    ) -> Dict[_Key, ReplicationResult]:
         """Answer the analytic-path jobs inline, with provenance.
 
         Runs in the coordinating process — each answer is a handful of
         cached float operations, so no pool (or shard worker) should
         ever see these jobs.
         """
-        computed: Dict[Tuple[str, int], ReplicationResult] = {}
-        if not jobs:
+        computed: Dict[_Key, ReplicationResult] = {}
+        if not planned.analytic:
             return computed
         self._check_cancelled(campaign)
+        evaluator = planned.evaluator
         assert evaluator is not None  # jobs only exist with an evaluator
-        label_by_hash = {c.spec_hash: c.label for c in cells}
-        for spec_hash, seed, spec, index in jobs:
+        label_by_hash = {c.spec_hash: c.label for c in planned.cells}
+        for spec_hash, seed, spec, index in planned.analytic:
             result = evaluator.evaluate(spec, index)
             computed[(spec_hash, seed)] = result
             if self._store is not None:
@@ -488,7 +504,9 @@ class CampaignRunner:
                     campaign=campaign.name,
                     cell=label_by_hash.get(spec_hash, ""),
                     path="analytic",
-                    provenance=evaluator.provenance(decisions[spec_hash]),
+                    provenance=evaluator.provenance(
+                        planned.decisions[spec_hash]
+                    ),
                 )
         return computed
 
@@ -497,11 +515,13 @@ class CampaignRunner:
         campaign: CampaignSpec,
         cells: Sequence[CampaignCell],
         jobs: Sequence[_Job],
-    ) -> Dict[Tuple[str, int], ReplicationResult]:
+    ) -> Dict[_Key, ReplicationResult]:
+        """The executor hook: run every simulated-path job, persist each
+        result, and return them all keyed by ``(spec hash, seed)``."""
         if not jobs:
             return {}
         label_by_hash = {c.spec_hash: c.label for c in cells}
-        computed: Dict[Tuple[str, int], ReplicationResult] = {}
+        computed: Dict[_Key, ReplicationResult] = {}
 
         def persist(job: _Job, result: ReplicationResult) -> None:
             spec_hash, seed, spec, _ = job

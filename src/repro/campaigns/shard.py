@@ -1,19 +1,23 @@
-"""Work-stealing multi-process shard executor for campaigns.
+"""Claim-racing shard executor for campaigns.
 
-The plain :class:`~repro.campaigns.runner.CampaignRunner` farms jobs
-from a single coordinator process.  The sharded runner instead gives
-every worker process the *full* job list and lets workers race: each
-job is claimed exactly once through an exclusive-create file under
-``<store>/claims/`` keyed by the job's content address
-(``<spec_hash>_<seed>``), so a worker that stalls or dies simply loses
-the race for the jobs it never claimed — the definition of work
-stealing without a queue server.  Workers start at staggered offsets so
-they collide rarely in the common case.
+:class:`~repro.campaigns.runner.CampaignRunner` is the one campaign
+planner; it hands its simulated-path jobs to an executor hook.  This
+module's :class:`ShardedCampaignRunner` is the second executor next to
+the runner's own process pool.  It gives every worker process the
+*full* job list and lets workers race: each job is claimed exactly once
+through an exclusive-create file under ``<store>/claims/`` keyed by the
+job's content address (``<spec_hash>_<seed>``), so a worker that
+stalls or dies simply loses the race for the jobs it never claimed —
+the definition of work stealing without a queue server.  Workers start
+at staggered offsets so they collide rarely in the common case.
 
 Results are appended to one
 :class:`~repro.campaigns.segstore.SegmentedResultStore` segment per
-worker (no write contention), and the coordinator re-indexes the
-segments when the workers finish.
+worker (no write contention).  Analytic-path cells never reach a
+worker: the planner answers them in the coordinator.  Planning,
+accounting and merging are the runner's, so a sharded run returns the
+same :class:`~repro.campaigns.runner.CampaignResult` as an unsharded
+one.
 
 Resumability: correctness never depends on the claim files — they are
 wiped at every coordinator start and only order the *current* run.  A
@@ -24,22 +28,23 @@ campaign interrupted after all cells landed resumes with 0 recomputed.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaigns.hybrid import (
-    AnalyticCellEvaluator,
-    record_usable,
-    resolve_evaluator,
+from repro.campaigns.hybrid import AnalyticCellEvaluator
+from repro.campaigns.runner import (
+    CampaignResult,
+    CampaignRunner,
+    _Job,
+    _Key,
+    load_usable,
 )
-from repro.campaigns.runner import CampaignResult, CampaignRunner
 from repro.campaigns.segstore import SegmentedResultStore
-from repro.campaigns.spec import CampaignSpec
+from repro.campaigns.spec import CampaignCell, CampaignSpec
 from repro.exceptions import ConfigurationError
-from repro.scenarios.runner import replication_seed, run_replication
+from repro.scenarios.runner import ReplicationResult, run_replication
 from repro.scenarios.spec import ScenarioSpec
 
 #: Claim files live here, under the store root (shared by all workers).
@@ -69,10 +74,14 @@ def _shard_worker(
     total_workers: int,
     campaign_name: str,
     jobs: Sequence[_WireJob],
-) -> int:
-    """One shard: race the full job list, claim-run-persist each win."""
+) -> Dict[_Key, ReplicationResult]:
+    """One shard: race the full job list, claim-run-persist each win.
+
+    Returns the results this worker computed, keyed by
+    ``(spec hash, seed)``.
+    """
     claims = Path(store_root) / CLAIMS_DIR
-    executed = 0
+    executed: Dict[_Key, ReplicationResult] = {}
     with SegmentedResultStore(
         store_root, segment=f"shard-{worker_id:02d}"
     ) as store:
@@ -85,12 +94,11 @@ def _shard_worker(
             spec_hash, seed, spec_dict, index, cell = jobs[
                 (offset + position) % n
             ]
-            record = store.load_record(spec_hash, seed)
-            if record is not None and record_usable(record, "simulated"):
+            # The planner's cache predicate: only jobs decided simulated
+            # are shipped, so a stale analytic record — or one that no
+            # longer rehydrates — does not count as landed.
+            if load_usable(store, spec_hash, seed, "simulated") is not None:
                 continue  # landed in a segment before this run
-            # (An analytic-path record does not satisfy a simulated-path
-            # job: the coordinator only ships jobs it decided must
-            # simulate, so a stale analytic record is recomputed.)
             if not _claim(claims, spec_hash, seed):
                 continue  # another worker owns it
             spec = ScenarioSpec.from_dict(spec_dict)
@@ -103,18 +111,19 @@ def _shard_worker(
                 campaign=campaign_name,
                 cell=cell,
             )
-            executed += 1
+            executed[(spec_hash, seed)] = result
     return executed
 
 
-class ShardedCampaignRunner:
-    """Runs a campaign across ``shards`` claim-racing worker processes.
+class ShardedCampaignRunner(CampaignRunner):
+    """Runs a campaign's simulated jobs on ``shards`` claim-racing
+    worker processes.
 
     Requires a :class:`SegmentedResultStore` (or a path to create one):
     per-worker segments are what make lock-free parallel persistence
-    safe.  The merge/summary step is delegated to the plain
-    :class:`CampaignRunner` against the refreshed store, so sharded and
-    unsharded runs produce identical :class:`CampaignResult` payloads.
+    safe.  Everything but execution — planning, analytic answers,
+    cancellation and the merge — is inherited from
+    :class:`CampaignRunner`.
     """
 
     def __init__(
@@ -123,6 +132,7 @@ class ShardedCampaignRunner:
         *,
         shards: int = 2,
         evaluator: Optional[AnalyticCellEvaluator] = None,
+        cancel=None,
     ):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -130,109 +140,71 @@ class ShardedCampaignRunner:
             raise ConfigurationError(
                 "sharded execution needs a SegmentedResultStore"
             )
-        self._store = store
+        super().__init__(store, evaluator=evaluator, cancel=cancel)
         self._shards = shards
-        self._evaluator = evaluator
 
     def run(self, campaign: CampaignSpec) -> CampaignResult:
-        store = self._store
-        store.refresh()
-        cells = campaign.expand()
-        if not cells:
-            raise ConfigurationError(
-                f"campaign {campaign.name!r} expands to no cells"
-            )
+        self._store.refresh()
         # Claims only order the current run; stale ones from a killed
         # run must not mask unfinished work.
-        claims = store.root / CLAIMS_DIR
+        claims = self._store.root / CLAIMS_DIR
         claims.mkdir(parents=True, exist_ok=True)
         for path in claims.iterdir():
             path.unlink()
+        return super().run(campaign)
 
-        # Path decisions happen here, in the coordinator: analytic cells
-        # are answered inline into the coordinator's own segment before
-        # any job is shipped, so shard workers only ever see
-        # out-of-envelope (simulated-path) work.
-        evaluator = resolve_evaluator(campaign.evaluation, self._evaluator)
-        jobs: List[_WireJob] = []
-        seen = set()
-        analytic_executed = 0
-        for cell in cells:
-            if cell.spec.kind != "simulation":
-                continue  # overhead cells are uncacheable; merge runs them
-            spec_hash = cell.spec_hash
-            spec_dict = cell.spec.to_dict()
-            decision = (
-                evaluator.decide(cell.spec) if evaluator is not None else None
-            )
-            if (
-                campaign.evaluation == "analytic"
-                and decision is not None
-                and not decision.analytic_capable
-            ):
-                raise ConfigurationError(
-                    f"evaluation 'analytic': cell {cell.label!r} cannot be"
-                    f" answered analytically ({decision.reason})"
-                )
-            path = decision.path if decision is not None else "simulated"
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
-                if (spec_hash, seed) in seen:
-                    continue
-                seen.add((spec_hash, seed))
-                record = store.load_record(spec_hash, seed)
-                if record is not None and record_usable(record, path):
-                    continue
-                if path == "analytic":
-                    result = evaluator.evaluate(cell.spec, index)
-                    store.put(
-                        cell.spec,
-                        spec_hash,
-                        seed,
-                        result,
-                        campaign=campaign.name,
-                        cell=cell.label,
-                        path="analytic",
-                        provenance=evaluator.provenance(decision),
+    def _execute(
+        self,
+        campaign: CampaignSpec,
+        cells: Sequence[CampaignCell],
+        jobs: Sequence[_Job],
+    ) -> Dict[_Key, ReplicationResult]:
+        """Ship the jobs to the claim race; return every job's result."""
+        if not jobs:
+            return {}
+        self._check_cancelled(campaign)
+        label_by_hash = {c.spec_hash: c.label for c in cells}
+        spec_dicts = {job[0]: job[2].to_dict() for job in jobs}
+        wire: List[_WireJob] = [
+            (spec_hash, seed, spec_dicts[spec_hash], index,
+             label_by_hash.get(spec_hash, ""))
+            for spec_hash, seed, _, index in jobs
+        ]
+        root = str(self._store.root)
+        workers = min(self._shards, len(wire))
+        if workers == 1:
+            returned = _shard_worker(root, 0, 1, campaign.name, wire)
+        else:
+            returned = {}
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(
+                        _shard_worker,
+                        root,
+                        worker_id,
+                        workers,
+                        campaign.name,
+                        wire,
                     )
-                    analytic_executed += 1
-                    continue
-                jobs.append((spec_hash, seed, spec_dict, index, cell.label))
-
-        executed = 0
-        if jobs:
-            workers = min(self._shards, len(jobs))
-            if workers == 1:
-                executed = _shard_worker(
-                    str(store.root), 0, 1, campaign.name, jobs
-                )
+                    for worker_id in range(workers)
+                ]
+                for future in futures:
+                    returned.update(future.result())
+        self._store.refresh()
+        self._check_cancelled(campaign)
+        # A job no worker returned landed some other way (a concurrent
+        # writer won its claim): read it back from the store, and run
+        # whatever is still missing here, so no shipped job is lost.
+        computed: Dict[_Key, ReplicationResult] = {}
+        missing: List[_Job] = []
+        for job in jobs:
+            spec_hash, seed = job[0], job[1]
+            result = returned.get((spec_hash, seed))
+            if result is None:
+                result = load_usable(self._store, spec_hash, seed, "simulated")
+            if result is None:
+                missing.append(job)
             else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _shard_worker,
-                            str(store.root),
-                            worker_id,
-                            workers,
-                            campaign.name,
-                            jobs,
-                        )
-                        for worker_id in range(workers)
-                    ]
-                    executed = sum(f.result() for f in futures)
-            store.refresh()
-
-        # Merge through the plain runner: every simulation job is now in
-        # the store, so it loads instead of recomputing (its `computed`
-        # counts only uncacheable overhead cells, its `reused` every
-        # simulation job).  Restate the split so jobs executed by this
-        # run's shards — and analytic answers produced above — count as
-        # computed, not reused.
-        merged = CampaignRunner(store, evaluator=evaluator).run(campaign)
-        fresh = executed + analytic_executed
-        return dataclasses.replace(
-            merged,
-            computed=merged.computed + fresh,
-            reused=merged.reused - fresh,
-            analytic=merged.analytic + analytic_executed,
-        )
+                computed[(spec_hash, seed)] = result
+        computed.update(super()._execute(campaign, cells, missing))
+        return computed

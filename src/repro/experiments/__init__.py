@@ -18,13 +18,11 @@ Every driver is now a thin spec builder over the scenario engine
 over worker processes) and shapes the merged results into its
 paper-figure dataclasses.  The shared convenience layer (passive runs,
 the DRS-to-simulator binding) lives in
-:mod:`repro.experiments.harness`.
+:mod:`repro.experiments.harness`; ``passive_recommendation`` comes from
+:mod:`repro.scenarios.binding`.
 """
 
-from repro.experiments.harness import (
-    run_passive,
-    passive_recommendation,
-    DRSBinding,
-)
+from repro.experiments.harness import DRSBinding, run_passive
+from repro.scenarios.binding import passive_recommendation
 
 __all__ = ["run_passive", "passive_recommendation", "DRSBinding"]

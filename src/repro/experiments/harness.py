@@ -12,8 +12,7 @@ Two modes mirror the paper's two experiment families:
 
 The generic execution layer lives in :mod:`repro.scenarios`:
 :class:`DRSBinding` is a :class:`~repro.scenarios.binding.PolicyBinding`
-specialised to a raw :class:`DRSController`, and ``model_from_report`` /
-``BindingEvent`` are re-exported from there for backward compatibility.
+specialised to a raw :class:`DRSController`.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.config import ClusterSpec, DRSConfig, OptimizationGoal
-from repro.scenarios.binding import (  # noqa: F401  (re-exported API)
-    BindingEvent,
-    PolicyBinding,
-    model_from_report,
-    passive_recommendation,
-)
+from repro.scenarios.binding import PolicyBinding
 from repro.scenarios.policies import DRSControllerPolicy
 from repro.scheduler.allocation import Allocation
 from repro.scheduler.controller import DRSController

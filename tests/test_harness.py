@@ -7,11 +7,10 @@ from repro.experiments.harness import (
     DRSBinding,
     make_kmax_controller,
     make_tmax_controller,
-    model_from_report,
-    passive_recommendation,
     run_passive,
 )
 from repro.measurement.measurer import MeasurementReport
+from repro.scenarios.binding import model_from_report, passive_recommendation
 from repro.scheduler import Allocation
 from repro.sim import RuntimeOptions, Simulator, TopologyRuntime
 

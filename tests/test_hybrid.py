@@ -515,6 +515,56 @@ class TestShardedHybrid:
         assert again.reused == 4
 
 
+#: Every executor the one planner can hand simulated jobs to.
+EXECUTORS = {
+    "pool-1": lambda store, ev: CampaignRunner(
+        store, max_workers=1, evaluator=ev
+    ),
+    "pool-2": lambda store, ev: CampaignRunner(
+        store, max_workers=2, evaluator=ev
+    ),
+    "shards-1": lambda store, ev: ShardedCampaignRunner(
+        store, shards=1, evaluator=ev
+    ),
+    "shards-2": lambda store, ev: ShardedCampaignRunner(
+        store, shards=2, evaluator=ev
+    ),
+}
+
+
+def _cold_then_warm(executor, root):
+    """``to_dict()`` of a cold run, then of a warm run over its store."""
+    outputs = []
+    for _ in range(2):
+        runner = EXECUTORS[executor](
+            SegmentedResultStore(root, segment="coordinator"),
+            AnalyticCellEvaluator(_manifest()),
+        )
+        outputs.append(runner.run(_mixed_campaign()).to_dict())
+    return outputs
+
+
+class TestExecutorEquivalence:
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_result_identical_across_executors(self, tmp_path, executor):
+        cold, warm = _cold_then_warm(executor, tmp_path / executor)
+        reference_cold, reference_warm = _cold_then_warm(
+            "pool-1", tmp_path / "reference"
+        )
+        assert cold == reference_cold
+        assert warm == reference_warm
+        # Per-cell accounting: a cold run computed every replication,
+        # whichever executor ran it, and a warm one reused them all.
+        assert [(c["computed"], c["reused"], c["path"]) for c in cold["cells"]] == [
+            (2, 0, "analytic"),
+            (2, 0, "simulated"),
+        ]
+        assert [(c["computed"], c["reused"]) for c in warm["cells"]] == [
+            (0, 2),
+            (0, 2),
+        ]
+
+
 # ---------------------------------------------------------------------------
 # spec round-trip and aggregation
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 (segmented) result-store backend."""
 
 import json
+import threading
 
 import pytest
 
+from repro import api
 from repro.campaigns.runner import (
     ESTIMATED_RECORD_BYTES,
     CampaignRunner,
@@ -13,9 +15,13 @@ from repro.campaigns.segstore import SegmentedResultStore, compact_store
 from repro.campaigns.shard import CLAIMS_DIR, ShardedCampaignRunner
 from repro.campaigns.spec import CampaignSpec, scenario_hash
 from repro.campaigns.store import ResultStore
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CampaignCancelled, ConfigurationError
 from repro.experiments import report
-from repro.scenarios.runner import AppliedAction, ReplicationResult
+from repro.scenarios.runner import (
+    AppliedAction,
+    ReplicationResult,
+    replication_seed,
+)
 from repro.scenarios.spec import ScenarioSpec
 
 BASE = {
@@ -250,6 +256,57 @@ class TestShardedRunner:
         result = ShardedCampaignRunner(store, shards=2).run(campaign)
         claims = list((tmp_path / CLAIMS_DIR).iterdir())
         assert len(claims) == result.computed == 4
+
+    def test_cancel_reaches_sharded_runs(self, tmp_path):
+        campaign = small_campaign()
+        event = threading.Event()
+        event.set()
+        with pytest.raises(CampaignCancelled):
+            api.run_campaign(campaign, store=tmp_path, shards=2, cancel=event)
+        store = SegmentedResultStore(tmp_path, segment="coordinator")
+        for cell in campaign.expand():
+            assert store.count(cell.spec_hash) == 0
+
+
+def _seed_shape_corrupted_record(root, campaign):
+    """One record ``load_record`` accepts but ``from_dict`` rejects."""
+    cell = campaign.expand()[0]
+    seed = replication_seed(cell.spec.seed, 0)
+    classic = ResultStore(root)
+    classic.put(cell.spec, cell.spec_hash, seed, make_result(seed=seed))
+    path = classic.record_path(cell.spec_hash, seed)
+    record = json.loads(path.read_text())
+    record["result"] = {"index": 0}
+    path.write_text(json.dumps(record))
+    assert classic.load_record(cell.spec_hash, seed) is not None
+    assert classic.load(cell.spec_hash, seed) is None
+
+
+class TestShapeCorruptedRecord:
+    """``plan()`` and ``run()`` share one cache predicate, so a record
+    that no longer rehydrates is planned as work and recomputed."""
+
+    def test_serial_plan_matches_run(self, tmp_path):
+        campaign = small_campaign()
+        _seed_shape_corrupted_record(tmp_path, campaign)
+        runner = CampaignRunner(ResultStore(tmp_path), max_workers=1)
+        plan = runner.plan(campaign)
+        result = runner.run(campaign)
+        assert plan.to_compute == result.computed == 4
+        assert result.reused == 0
+
+    def test_sharded_plan_matches_run(self, tmp_path):
+        campaign = small_campaign()
+        _seed_shape_corrupted_record(tmp_path, campaign)
+        runner = ShardedCampaignRunner(
+            SegmentedResultStore(tmp_path, segment="coordinator"), shards=2
+        )
+        plan = runner.plan(campaign)
+        result = runner.run(campaign)
+        assert plan.to_compute == result.computed == 4
+        assert result.reused == 0
+        # The shard workers, not a coordinator fallback, recomputed it.
+        assert len(list((tmp_path / CLAIMS_DIR).iterdir())) == 4
 
 
 class TestPlanReport:
