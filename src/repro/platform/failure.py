@@ -6,11 +6,16 @@ events that kill and restore the executors placed on the machine —
 queued tuples are redelivered to survivors (or dropped by the normal
 queue-limit machinery), tuples in service on a dying machine are lost.
 
-Models are registered under string kinds, mirroring the arrival-model
-registry::
+Models are registered in :data:`FAILURE_MODELS`, a
+:class:`repro.utils.registry.Registry` like the arrival-model one::
 
     {"failure": {"kind": "exponential", "mean_up": 120.0,
                  "mean_down": 10.0, "machines": ["m2"]}}
+
+>>> sorted(available_failure_models())
+['exponential', 'none', 'trace']
+>>> create_failure_model(None).to_dict()
+{'kind': 'none'}
 
 Built-in kinds
 --------------
@@ -25,18 +30,10 @@ Built-in kinds
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    MutableMapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.utils.registry import Registry, finite, positive
 
 
 class FailureModel:
@@ -48,7 +45,7 @@ class FailureModel:
     ``to_dict()`` must round-trip through :func:`create_failure_model`.
     """
 
-    #: Registry kind, set by :func:`register_failure_model`.
+    #: Registry kind, as registered in :data:`FAILURE_MODELS`.
     kind: str = ""
 
     def initial_events(
@@ -66,87 +63,16 @@ class FailureModel:
         raise NotImplementedError
 
 
-FailureFactory = Callable[[MutableMapping[str, Any]], FailureModel]
+#: Every registered failure model.
+FAILURE_MODELS = Registry("failure model")
+
+register_failure_model = FAILURE_MODELS.register
+available_failure_models = FAILURE_MODELS.available
 
 
-class _Entry:
-    __slots__ = ("factory", "description")
-
-    def __init__(self, factory: FailureFactory, description: str):
-        self.factory = factory
-        self.description = description
-
-
-_REGISTRY: Dict[str, _Entry] = {}
-
-
-def register_failure_model(
-    name: str, description: str
-) -> Callable[[FailureFactory], FailureFactory]:
-    """Decorator registering a failure-model factory under ``name``."""
-
-    def decorate(factory: FailureFactory) -> FailureFactory:
-        if name in _REGISTRY:
-            raise ConfigurationError(
-                f"failure model {name!r} is already registered"
-            )
-        _REGISTRY[name] = _Entry(factory=factory, description=description)
-        return factory
-
-    return decorate
-
-
-def available_failure_models() -> Dict[str, str]:
-    """``{kind: one-line description}`` of every registered model."""
-    return {
-        name: entry.description for name, entry in sorted(_REGISTRY.items())
-    }
-
-
-def create_failure_model(spec: Optional[Dict[str, Any]]) -> FailureModel:
+def create_failure_model(spec: Optional[Mapping[str, Any]]) -> FailureModel:
     """Build the failure model a platform block names (default: none)."""
-    if spec is None:
-        spec = {"kind": "none"}
-    if not isinstance(spec, dict) and not hasattr(spec, "items"):
-        raise ConfigurationError(
-            f"failure must be a mapping with a 'kind' key, got {spec!r}"
-        )
-    params = dict(spec)
-    kind = params.pop("kind", None)
-    if not kind:
-        raise ConfigurationError(
-            "failure spec needs a 'kind' key; available:"
-            f" {sorted(_REGISTRY)}"
-        )
-    entry = _REGISTRY.get(kind)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown failure model {kind!r}; available: {sorted(_REGISTRY)}"
-        )
-    model = entry.factory(params)
-    if params:
-        raise ConfigurationError(
-            f"failure model {kind!r} got unknown parameters: {sorted(params)}"
-        )
-    return model
-
-
-def _positive(params: MutableMapping[str, Any], key: str, kind: str) -> float:
-    try:
-        value = float(params.pop(key))
-    except KeyError:
-        raise ConfigurationError(
-            f"failure model {kind!r} requires {key!r}"
-        ) from None
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"failure model {kind!r}: {key!r} must be a number"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"failure model {kind!r}: {key!r} must be > 0, got {value}"
-        )
-    return value
+    return FAILURE_MODELS.from_spec(spec, default="none")
 
 
 def _resolve(
@@ -265,8 +191,14 @@ def _make_none(params: MutableMapping[str, Any]) -> FailureModel:
     "alternating-renewal churn: Exp(mean_up) up, Exp(mean_down) down",
 )
 def _make_exponential(params: MutableMapping[str, Any]) -> FailureModel:
-    mean_up = _positive(params, "mean_up", "exponential")
-    mean_down = _positive(params, "mean_down", "exponential")
+    def take(key: str) -> float:
+        return positive(
+            f"failure model 'exponential': {key}",
+            FAILURE_MODELS.require(params, key, "exponential"),
+        )
+
+    mean_up = take("mean_up")
+    mean_down = take("mean_down")
     machines = params.pop("machines", None)
     if machines is not None:
         if not isinstance(machines, (list, tuple)) or not machines:
@@ -300,7 +232,7 @@ def _make_trace(params: MutableMapping[str, Any]) -> FailureModel:
                 f"unknown trace-event keys: {sorted(unknown)}"
             )
         try:
-            time = float(entry["time"])
+            time = finite("trace event time", entry["time"])
             machine = str(entry["machine"])
             state = str(entry["state"])
         except KeyError as exc:

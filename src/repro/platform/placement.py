@@ -2,16 +2,21 @@
 
 A placement policy turns ``(topology, allocation, machines)`` into a
 per-operator tuple of machine indices — executor ``i`` of operator
-``o`` runs on ``pattern[o][i]``.  Policies are registered under string
-kinds, mirroring the scheduling-policy and arrival-model registries, so
-a platform block names its placement the same way a scenario names its
-policy::
+``o`` runs on ``pattern[o][i]``.  Policies are registered in
+:data:`PLACEMENTS`, a :class:`repro.utils.registry.Registry` like the
+scheduling-policy and arrival-model ones, so a platform block names its
+placement the same way a scenario names its policy::
 
     {"placement": {"kind": "round_robin"}}
 
 Factories receive a *mutable copy* of the parameters and must consume
 every key they understand; leftovers are rejected so platform typos
 fail loudly instead of silently placing everything on one machine.
+
+>>> sorted(available_placements())
+['colocated', 'heterogeneous', 'round_robin']
+>>> create_placement(None).to_dict()
+{'kind': 'colocated'}
 
 Built-in kinds
 --------------
@@ -31,7 +36,7 @@ Built-in kinds
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, MutableMapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, MutableMapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.model.performance import PerformanceModel
@@ -42,6 +47,7 @@ from repro.scheduler.heterogeneous import (
     expected_sojourn_heterogeneous,
 )
 from repro.topology.graph import Topology
+from repro.utils.registry import Registry
 
 
 class PlacementPolicy:
@@ -53,7 +59,7 @@ class PlacementPolicy:
     layer relies on it for content addressing.
     """
 
-    #: Registry kind, set by :func:`register_placement`.
+    #: Registry kind, as registered in :data:`PLACEMENTS`.
     kind: str = ""
 
     def place(
@@ -70,74 +76,16 @@ class PlacementPolicy:
         raise NotImplementedError
 
 
-PlacementFactory = Callable[[MutableMapping[str, Any]], PlacementPolicy]
+#: Every registered placement policy.
+PLACEMENTS = Registry("placement")
+
+register_placement = PLACEMENTS.register
+available_placements = PLACEMENTS.available
 
 
-class _Entry:
-    __slots__ = ("factory", "description")
-
-    def __init__(self, factory: PlacementFactory, description: str):
-        self.factory = factory
-        self.description = description
-
-
-_REGISTRY: Dict[str, _Entry] = {}
-
-
-def register_placement(
-    name: str, description: str
-) -> Callable[[PlacementFactory], PlacementFactory]:
-    """Decorator registering a placement factory under ``name``."""
-
-    def decorate(factory: PlacementFactory) -> PlacementFactory:
-        if name in _REGISTRY:
-            raise ConfigurationError(
-                f"placement policy {name!r} is already registered"
-            )
-        _REGISTRY[name] = _Entry(factory=factory, description=description)
-        return factory
-
-    return decorate
-
-
-def available_placements() -> Dict[str, str]:
-    """``{kind: one-line description}`` of every registered placement."""
-    return {
-        name: entry.description for name, entry in sorted(_REGISTRY.items())
-    }
-
-
-def create_placement(spec: Optional[Dict[str, Any]]) -> PlacementPolicy:
-    """Build the placement a platform block names (default: colocated).
-
-    Mirrors :func:`repro.workloads.models.create_arrival_model`: the
-    factory consumes a mutable copy of the parameters and leftovers are
-    rejected.
-    """
-    if spec is None:
-        spec = {"kind": "colocated"}
-    if not isinstance(spec, dict) and not hasattr(spec, "items"):
-        raise ConfigurationError(
-            f"placement must be a mapping with a 'kind' key, got {spec!r}"
-        )
-    params = dict(spec)
-    kind = params.pop("kind", None)
-    if not kind:
-        raise ConfigurationError(
-            "placement spec needs a 'kind' key; available:"
-            f" {sorted(_REGISTRY)}"
-        )
-    entry = _REGISTRY.get(kind)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown placement {kind!r}; available: {sorted(_REGISTRY)}"
-        )
-    policy = entry.factory(params)
-    if params:
-        raise ConfigurationError(
-            f"placement {kind!r} got unknown parameters: {sorted(params)}"
-        )
-    return policy
+def create_placement(spec: Optional[Mapping[str, Any]]) -> PlacementPolicy:
+    """Build the placement a platform block names (default: colocated)."""
+    return PLACEMENTS.from_spec(spec, default="colocated")
 
 
 # ----------------------------------------------------------------------

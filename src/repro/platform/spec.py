@@ -47,13 +47,7 @@ from repro.platform.failure import FailureModel, create_failure_model
 from repro.platform.placement import PlacementPolicy, create_placement
 from repro.scheduler.allocation import Allocation
 from repro.topology.graph import Topology
-
-
-def _number(value: Any, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}") from None
+from repro.utils.registry import finite, integer, positive
 
 
 @dataclass(frozen=True)
@@ -69,15 +63,12 @@ class MachineSpec:
             raise ConfigurationError(
                 f"machine name must be a non-empty string, got {self.name!r}"
             )
-        object.__setattr__(self, "speed", _number(self.speed, "machine speed"))
-        if self.speed <= 0:
+        object.__setattr__(
+            self, "speed", positive(f"machine {self.name!r}: speed", self.speed)
+        )
+        if integer(f"machine {self.name!r}: slots", self.slots) < 1:
             raise ConfigurationError(
-                f"machine {self.name!r}: speed must be > 0, got {self.speed}"
-            )
-        if not isinstance(self.slots, int) or self.slots < 1:
-            raise ConfigurationError(
-                f"machine {self.name!r}: slots must be an int >= 1,"
-                f" got {self.slots!r}"
+                f"machine {self.name!r}: slots must be >= 1, got {self.slots}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -113,23 +104,18 @@ class LinkSpec:
                 f"link {self.source!r}->{self.target!r}: intra-machine"
                 " transfers are always free; self-links are not allowed"
             )
+        link = f"link {self.source!r}->{self.target!r}"
         object.__setattr__(
-            self, "latency", _number(self.latency, "link latency")
+            self, "latency", finite(f"{link}: latency", self.latency)
         )
         if self.latency < 0:
             raise ConfigurationError(
-                f"link {self.source!r}->{self.target!r}: latency must be"
-                f" >= 0, got {self.latency}"
+                f"{link}: latency must be >= 0, got {self.latency}"
             )
         if self.bandwidth is not None:
             object.__setattr__(
-                self, "bandwidth", _number(self.bandwidth, "link bandwidth")
+                self, "bandwidth", positive(f"{link}: bandwidth", self.bandwidth)
             )
-            if self.bandwidth <= 0:
-                raise ConfigurationError(
-                    f"link {self.source!r}->{self.target!r}: bandwidth must"
-                    f" be > 0 when set, got {self.bandwidth}"
-                )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -223,28 +209,17 @@ class PlatformSpec:
                 )
             seen.add(pair)
         object.__setattr__(self, "links", links)
-        object.__setattr__(
-            self,
-            "default_latency",
-            _number(self.default_latency, "default_latency"),
-        )
-        if self.default_latency < 0:
-            raise ConfigurationError("default_latency must be >= 0")
+        for key in ("default_latency", "tuple_bytes"):
+            value = finite(key, getattr(self, key))
+            if value < 0:
+                raise ConfigurationError(f"{key} must be >= 0, got {value}")
+            object.__setattr__(self, key, value)
         if self.default_bandwidth is not None:
             object.__setattr__(
                 self,
                 "default_bandwidth",
-                _number(self.default_bandwidth, "default_bandwidth"),
+                positive("default_bandwidth", self.default_bandwidth),
             )
-            if self.default_bandwidth <= 0:
-                raise ConfigurationError(
-                    "default_bandwidth must be > 0 when set"
-                )
-        object.__setattr__(
-            self, "tuple_bytes", _number(self.tuple_bytes, "tuple_bytes")
-        )
-        if self.tuple_bytes < 0:
-            raise ConfigurationError("tuple_bytes must be >= 0")
         if self.ingress is not None and self.ingress not in names:
             raise ConfigurationError(
                 f"ingress names unknown machine {self.ingress!r};"

@@ -9,16 +9,22 @@ a topology.  Third-party policies plug in with::
     def _make(topology, params):
         return MyGreedyPolicy(...)
 
-Factories receive a *mutable copy* of the parameters and must consume
-every key they understand; leftovers are rejected so spec typos fail
-loudly instead of silently running with defaults.
+:data:`POLICIES` is a :class:`repro.utils.registry.Registry`, so
+policies follow the same contract as every other plugin kind: factories
+receive a *mutable copy* of the parameters and must consume every key
+they understand; leftovers are rejected so spec typos fail loudly
+instead of silently running with defaults.  Errors are
+:class:`~repro.exceptions.SchedulingError`.
+
+>>> sorted(available_policies())
+['drs.min_resource', 'drs.min_sojourn', 'none', 'slo_feedback', \
+'static.proportional', 'static.random', 'static.uniform', 'threshold']
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, MutableMapping, Optional
+from typing import Callable, Mapping, MutableMapping, Optional
 
 from repro.baselines.static import (
     ProportionalAllocator,
@@ -38,20 +44,16 @@ from repro.scenarios.policies import (
 )
 from repro.scheduler.controller import DRSController
 from repro.topology.graph import Topology
+from repro.utils.registry import Registry
 
 PolicyFactory = Callable[
     [Topology, MutableMapping[str, object]], SchedulingPolicy
 ]
 
+#: Every registered scheduling policy.
+POLICIES = Registry("policy", plural="policies", error=SchedulingError)
 
-@dataclass(frozen=True)
-class _Entry:
-    factory: PolicyFactory
-    description: str
-    uses_cluster: bool
-
-
-_REGISTRY: Dict[str, _Entry] = {}
+available_policies = POLICIES.available
 
 
 def register_policy(
@@ -63,42 +65,15 @@ def register_policy(
     parameter (machine-pool accounting); the scenario runner forwards
     the spec-level cluster to such policies so the controller and the
     negotiator always agree on capacity.
-
-    Note: registration happens at import time in the parent process.
-    The scenario runner's worker processes re-import this module, so
-    third-party policies are visible to parallel replications only on
-    fork-start platforms (Linux); under the spawn start method
-    (macOS/Windows) register them in a module the workers also import,
-    or run with ``max_workers=1``.
     """
-
-    def decorate(factory: PolicyFactory) -> PolicyFactory:
-        if name in _REGISTRY:
-            raise SchedulingError(f"policy {name!r} is already registered")
-        _REGISTRY[name] = _Entry(
-            factory=factory, description=description, uses_cluster=uses_cluster
-        )
-        return factory
-
-    return decorate
+    return POLICIES.register(name, description, uses_cluster=uses_cluster)
 
 
 def policy_uses_cluster(name: str) -> bool:
     """Whether the policy registered under ``name`` consumes a
     ``cluster`` parameter (unknown names resolve to ``False``; the
     runner surfaces them later via :func:`create_policy`)."""
-    entry = _REGISTRY.get(name)
-    return entry.uses_cluster if entry is not None else False
-
-
-def available_policies() -> Dict[str, str]:
-    """Registered policy names mapped to their one-line descriptions.
-
-    >>> sorted(available_policies())
-    ['drs.min_resource', 'drs.min_sojourn', 'none', 'slo_feedback', \
-'static.proportional', 'static.random', 'static.uniform', 'threshold']
-    """
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
+    return POLICIES.attrs(name).get("uses_cluster", False)
 
 
 def create_policy(
@@ -107,26 +82,7 @@ def create_policy(
     params: Optional[Mapping[str, object]] = None,
 ) -> SchedulingPolicy:
     """Instantiate the policy registered under ``name`` for ``topology``."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        known = ", ".join(sorted(_REGISTRY))
-        raise SchedulingError(
-            f"unknown scheduling policy {name!r}; available policies: {known}"
-        )
-    remaining: MutableMapping[str, object] = dict(params or {})
-    policy = entry.factory(topology, remaining)
-    if remaining:
-        raise SchedulingError(
-            f"policy {name!r} got unknown parameters"
-            f" {sorted(remaining)}"
-        )
-    return policy
-
-
-def _require(params: MutableMapping[str, object], key: str, policy: str):
-    if key not in params:
-        raise SchedulingError(f"policy {policy!r} requires parameter {key!r}")
-    return params.pop(key)
+    return POLICIES.create(name, params, topology)
 
 
 def _pop_cluster(params: MutableMapping[str, object]) -> ClusterSpec:
@@ -154,7 +110,7 @@ def _make_passive(topology: Topology, params) -> SchedulingPolicy:
 def _make_drs_min_sojourn(topology: Topology, params) -> SchedulingPolicy:
     config = DRSConfig(
         goal=OptimizationGoal.MIN_SOJOURN,
-        kmax=int(_require(params, "kmax", "drs.min_sojourn")),
+        kmax=int(POLICIES.require(params, "kmax", "drs.min_sojourn")),
         migration_cost=float(params.pop("migration_cost", 5.0)),
         amortisation_horizon=float(params.pop("amortisation_horizon", 600.0)),
         rebalance_threshold=float(params.pop("rebalance_threshold", 0.05)),
@@ -173,7 +129,7 @@ def _make_drs_min_sojourn(topology: Topology, params) -> SchedulingPolicy:
 def _make_drs_min_resource(topology: Topology, params) -> SchedulingPolicy:
     config = DRSConfig(
         goal=OptimizationGoal.MIN_RESOURCE,
-        tmax=float(_require(params, "tmax", "drs.min_resource")),
+        tmax=float(POLICIES.require(params, "tmax", "drs.min_resource")),
         cluster=_pop_cluster(params),
         migration_cost=float(params.pop("migration_cost", 5.0)),
         amortisation_horizon=float(params.pop("amortisation_horizon", 600.0)),
@@ -190,7 +146,7 @@ def _make_drs_min_resource(topology: Topology, params) -> SchedulingPolicy:
     "static.uniform", "spread Kmax evenly over operators (naive manual tuning)"
 )
 def _make_static_uniform(topology: Topology, params) -> SchedulingPolicy:
-    kmax = int(_require(params, "kmax", "static.uniform"))
+    kmax = int(POLICIES.require(params, "kmax", "static.uniform"))
     return StaticAllocatorPolicy(UniformAllocator(), kmax)
 
 
@@ -199,7 +155,7 @@ def _make_static_uniform(topology: Topology, params) -> SchedulingPolicy:
     "split Kmax proportionally to per-operator offered load",
 )
 def _make_static_proportional(topology: Topology, params) -> SchedulingPolicy:
-    kmax = int(_require(params, "kmax", "static.proportional"))
+    kmax = int(POLICIES.require(params, "kmax", "static.proportional"))
     return StaticAllocatorPolicy(ProportionalAllocator(), kmax)
 
 
@@ -207,7 +163,7 @@ def _make_static_proportional(topology: Topology, params) -> SchedulingPolicy:
     "static.random", "random feasible placement of Kmax (sanity floor)"
 )
 def _make_static_random(topology: Topology, params) -> SchedulingPolicy:
-    kmax = int(_require(params, "kmax", "static.random"))
+    kmax = int(POLICIES.require(params, "kmax", "static.random"))
     rng = random.Random(int(params.pop("seed", 0)))
     return StaticAllocatorPolicy(RandomAllocator(rng), kmax)
 
@@ -219,8 +175,8 @@ def _make_static_random(topology: Topology, params) -> SchedulingPolicy:
 )
 def _make_slo_feedback(topology: Topology, params) -> SchedulingPolicy:
     return SloFeedbackPolicy(
-        p95_target=float(_require(params, "p95_target", "slo_feedback")),
-        kmax=int(_require(params, "kmax", "slo_feedback")),
+        p95_target=float(POLICIES.require(params, "p95_target", "slo_feedback")),
+        kmax=int(POLICIES.require(params, "kmax", "slo_feedback")),
         step=int(params.pop("step", 1)),
         low_fraction=float(params.pop("low_fraction", 0.5)),
         scale_in_utilisation=float(params.pop("scale_in_utilisation", 0.85)),
@@ -233,7 +189,7 @@ def _make_slo_feedback(topology: Topology, params) -> SchedulingPolicy:
     " interval",
 )
 def _make_threshold(topology: Topology, params) -> SchedulingPolicy:
-    kmax = int(_require(params, "kmax", "threshold"))
+    kmax = int(POLICIES.require(params, "kmax", "threshold"))
     scaler = ThresholdScaler(
         high_watermark=float(params.pop("high_watermark", 0.85)),
         low_watermark=float(params.pop("low_watermark", 0.5)),

@@ -117,13 +117,12 @@ def _mean_transfer(matrix, sources, targets) -> float:
 class RuntimeOptions:
     """Tunables of the simulated CSP layer.
 
-    ``hop_latency`` is the fixed per-emission transport delay (seconds);
-    ``hop_latency_distribution`` overrides it with a random one.  Both
-    are **legacy** knobs: they model the network as one global constant.
-    New code should describe the substrate with a ``platform`` block
-    instead (per-link latencies/bandwidths, machine speeds, churn); the
-    legacy knobs keep working unchanged — and stay byte-identical — for
-    every existing spec, but gain no new features.
+    ``hop_latency`` is the fixed per-emission transport delay (seconds).
+    It is a **legacy** knob: it models the network as one global
+    constant.  New code should describe the substrate with a
+    ``platform`` block instead (per-link latencies/bandwidths, machine
+    speeds, churn); the legacy knob keeps working unchanged — and stays
+    byte-identical — for every existing spec, but gains no new features.
     ``queue_limit`` bounds each operator's total queued tuples; beyond
     it tuples are dropped and their trees abandoned (the "errors when
     the queue reaches its size limit" failure mode of the paper's
@@ -139,7 +138,6 @@ class RuntimeOptions:
 
     queue_discipline: str = "jsq"
     hop_latency: float = 0.0
-    hop_latency_distribution: Optional[Distribution] = None
     queue_limit: Optional[int] = None
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
     rebalance_cost: RebalanceCostModel = field(default_factory=RebalanceCostModel)
@@ -164,9 +162,8 @@ class RuntimeOptions:
     #: layering).  The binding supplies per-executor machines/speeds,
     #: the machine-pair transfer matrix and the churn process.  ``None``
     #: keeps the legacy hop-constant path byte-for-byte.  Mutually
-    #: exclusive with the deprecated ``hop_latency`` /
-    #: ``hop_latency_distribution`` knobs: per-edge transfer times come
-    #: from the platform's links.
+    #: exclusive with the deprecated ``hop_latency`` knob: per-edge
+    #: transfer times come from the platform's links.
     platform: Optional[Any] = None
     #: Closed-loop client population *replacing* each spout's arrival
     #: process — any object with ``think_gap(rng) -> float`` plus
@@ -221,11 +218,10 @@ class RuntimeOptions:
                     " method (e.g. a repro.platform PlatformSpec); got"
                     f" {self.platform!r}"
                 )
-            if self.hop_latency != 0.0 or self.hop_latency_distribution is not None:
+            if self.hop_latency != 0.0:
                 raise SimulationError(
-                    "hop_latency/hop_latency_distribution and platform are"
-                    " mutually exclusive: per-edge transfer times come from"
-                    " the platform's links"
+                    "hop_latency and platform are mutually exclusive:"
+                    " per-edge transfer times come from the platform's links"
                 )
         if self.backpressure and self.queue_limit is None:
             raise SimulationError(
@@ -336,8 +332,8 @@ class _Route:
     fractional parts of a deterministic gain (``fanout is None``);
     ``arrivals`` is the target operator's measurement counter, updated
     inline by the emission loop; ``transfer`` is the per-edge transport
-    delay under a platform (placement-mean link cost; 0.0 and unread on
-    the legacy path)."""
+    delay: the legacy ``hop_latency`` constant, or under a platform the
+    placement-mean link cost."""
 
     __slots__ = (
         "edge",
@@ -519,7 +515,6 @@ class TopologyRuntime:
             )
         rng_factory = RngFactory(self._options.seed)
         self._route_rng = rng_factory.stream("routing")
-        self._hop_rng = rng_factory.stream("hops")
         self._service_rngs = {
             name: rng_factory.stream("service", name)
             for name in topology.operator_names
@@ -583,6 +578,14 @@ class TopologyRuntime:
             )
             for name in topology.spouts
         ]
+        # Legacy transport: one constant delay on every route; a
+        # platform (bound below) overwrites it with per-route link costs.
+        for routes in (
+            *(source.routes for source in self._spout_sources),
+            *(op.out_routes for op in self._operators.values()),
+        ):
+            for route in routes:
+                route.transfer = self._options.hop_latency
 
         self._tracker = TupleTreeTracker(on_complete=self._on_tree_complete)
         # The tracker never reassigns its root table; cache it (and the
@@ -664,8 +667,6 @@ class TopologyRuntime:
         # sync by apply_allocation.  Backpressure needs every delivery
         # on the generic path, where full-queue marking lives.
         self._fast = not self._bp
-        self._hop_dist = self._options.hop_latency_distribution
-        self._hop_const = self._options.hop_latency
         self._pull_interval = self._options.measurement.pull_interval
         self._fanout_random = self._fanout_rng.random
         self._route_randrange = self._route_rng.randrange
@@ -1018,8 +1019,6 @@ class TopologyRuntime:
         limit = self._queue_limit
         ext_counter = self._external_counter if external else None
         frandom = self._fanout_random
-        hop_dist = self._hop_dist
-        hop_const = self._hop_const
         het = self._het
         kind_finish = self._kind_finish
         state = roots.get(root)
@@ -1061,18 +1060,9 @@ class TopologyRuntime:
                 arrivals._count += 1
                 if ext_counter is not None:
                     ext_counter._count += 1
-                if het:
-                    delay = route.transfer
-                    if delay > 0.0:
-                        sim.schedule_event(delay, self._kind_hop, route, payload)
-                        continue
-                elif hop_dist is not None:
-                    delay = hop_dist.sample(self._hop_rng)
-                    if delay > 0:
-                        sim.schedule_event(delay, self._kind_hop, route, payload)
-                        continue
-                elif hop_const > 0:
-                    sim.schedule_event(hop_const, self._kind_hop, route, payload)
+                delay = route.transfer
+                if delay > 0.0:
+                    sim.schedule_event(delay, self._kind_hop, route, payload)
                     continue
                 # -- delivery (zero hop delay) ------------------------
                 if sel is not None or not fast or op.shared:

@@ -24,12 +24,28 @@ A :class:`ClosedLoopSource` describes one such population per spout:
   completed-tree sojourn times and *rejects* new requests (counted,
   never simulated) while the smoothed latency exceeds the threshold.
 
-Sources are registered under string kinds alongside the arrival-model
-registry, so a scenario names its client population the same way it
-names its traffic::
+Sources are registered in :data:`CLOSED_LOOP_SOURCES`, a
+:class:`repro.utils.registry.Registry` like the arrival-model one, so a
+scenario names its client population the same way it names its
+traffic::
 
     {"closed_loop": {"kind": "closed_loop", "clients": 40,
                      "think_time": 2.0, "max_outstanding": 1}}
+
+Unknown kinds and leftover parameters are rejected loudly:
+
+>>> sorted(available_closed_loop_sources())
+['closed_loop']
+>>> source = create_closed_loop_source(
+...     {"kind": "closed_loop", "clients": 2, "think_time": 1.0})
+>>> source.clients
+2
+>>> create_closed_loop_source({"kind": "closed_loop", "clients": 2,
+...                            "think_time": 1.0, "oops": 3})
+Traceback (most recent call last):
+    ...
+repro.exceptions.ConfigurationError: closed-loop source 'closed_loop' \
+got unknown parameters ['oops']
 
 ``closed_loop`` is mutually exclusive with ``arrival_model`` and
 ``rate_phases`` — a population either reacts to latency or it does
@@ -38,11 +54,11 @@ not; mixing the two silently double-books the spout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, MutableMapping, Optional
+from typing import Any, Dict, MutableMapping, Optional
 
 from repro.exceptions import ConfigurationError
+from repro.utils.registry import Registry, finite, integer, positive
 
 #: Supported think-time distributions.
 THINK_DISTRIBUTIONS = ("exponential", "deterministic")
@@ -76,40 +92,24 @@ class ClosedLoopSource:
     kind = "closed_loop"
 
     def __post_init__(self):
-        if not isinstance(self.clients, int) or isinstance(
-            self.clients, bool
-        ):
-            raise ConfigurationError(
-                f"closed_loop clients must be an integer,"
-                f" got {self.clients!r}"
-            )
-        if self.clients < 1:
+        if integer("closed_loop clients", self.clients) < 1:
             raise ConfigurationError(
                 f"closed_loop clients must be >= 1, got {self.clients}"
             )
-        _positive("closed_loop", "think_time", self.think_time)
+        positive("closed_loop think_time", self.think_time)
         if self.think_distribution not in THINK_DISTRIBUTIONS:
             raise ConfigurationError(
                 f"closed_loop think_distribution must be one of"
                 f" {THINK_DISTRIBUTIONS}, got {self.think_distribution!r}"
             )
-        if not isinstance(self.max_outstanding, int) or isinstance(
-            self.max_outstanding, bool
-        ):
-            raise ConfigurationError(
-                f"closed_loop max_outstanding must be an integer,"
-                f" got {self.max_outstanding!r}"
-            )
-        if self.max_outstanding < 1:
+        if integer("closed_loop max_outstanding", self.max_outstanding) < 1:
             raise ConfigurationError(
                 f"closed_loop max_outstanding must be >= 1,"
                 f" got {self.max_outstanding}"
             )
         if self.admission_latency is not None:
-            _positive(
-                "closed_loop", "admission_latency", self.admission_latency
-            )
-        alpha = _number("closed_loop", "admission_alpha", self.admission_alpha)
+            positive("closed_loop admission_latency", self.admission_latency)
+        alpha = finite("closed_loop admission_alpha", self.admission_alpha)
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError(
                 f"closed_loop admission_alpha must be in (0, 1],"
@@ -149,123 +149,12 @@ class ClosedLoopSource:
         return payload
 
 
-ClosedLoopFactory = Callable[[MutableMapping[str, Any]], ClosedLoopSource]
+#: Every registered closed-loop source.
+CLOSED_LOOP_SOURCES = Registry("closed-loop source")
 
-
-@dataclass(frozen=True)
-class _Entry:
-    factory: ClosedLoopFactory
-    description: str
-
-
-_REGISTRY: Dict[str, _Entry] = {}
-
-
-def register_closed_loop_source(
-    name: str, description: str
-) -> Callable[[ClosedLoopFactory], ClosedLoopFactory]:
-    """Decorator registering a closed-loop source factory under ``name``.
-
-    Mirrors :func:`repro.workloads.models.register_arrival_model`:
-    registration happens at import time, factories receive a mutable
-    copy of the parameters and must consume every key they understand.
-    """
-
-    def decorate(factory: ClosedLoopFactory) -> ClosedLoopFactory:
-        if name in _REGISTRY:
-            raise ConfigurationError(
-                f"closed-loop source {name!r} is already registered"
-            )
-        _REGISTRY[name] = _Entry(factory=factory, description=description)
-        return factory
-
-    return decorate
-
-
-def available_closed_loop_sources() -> Dict[str, str]:
-    """Registered source kinds mapped to their one-line descriptions.
-
-    >>> sorted(available_closed_loop_sources())
-    ['closed_loop']
-    """
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
-
-
-def create_closed_loop_source(spec: Mapping[str, Any]) -> ClosedLoopSource:
-    """Build the source a plain ``{"kind": ..., **params}`` mapping names.
-
-    Unknown kinds and leftover parameters are rejected loudly, exactly
-    like :func:`repro.workloads.models.create_arrival_model`.
-
-    >>> source = create_closed_loop_source(
-    ...     {"kind": "closed_loop", "clients": 2, "think_time": 1.0})
-    >>> source.clients
-    2
-    >>> create_closed_loop_source({"kind": "closed_loop", "clients": 2,
-    ...                            "think_time": 1.0, "oops": 3})
-    Traceback (most recent call last):
-        ...
-    repro.exceptions.ConfigurationError: closed-loop source 'closed_loop' \
-got unknown parameters ['oops']
-    """
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"closed-loop spec must be a mapping, got {type(spec).__name__}"
-        )
-    if "kind" not in spec:
-        raise ConfigurationError("closed-loop spec requires a 'kind' key")
-    kind = str(spec["kind"])
-    entry = _REGISTRY.get(kind)
-    if entry is None:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigurationError(
-            f"unknown closed-loop source {kind!r}; available sources: {known}"
-        )
-    remaining: Dict[str, Any] = {k: v for k, v in spec.items() if k != "kind"}
-    source = entry.factory(remaining)
-    if remaining:
-        raise ConfigurationError(
-            f"closed-loop source {kind!r} got unknown parameters"
-            f" {sorted(remaining)}"
-        )
-    return source
-
-
-def _number(kind: str, key: str, value: Any) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"closed-loop source {kind!r}: {key} must be a number,"
-            f" got {value!r}"
-        ) from None
-    if math.isnan(number) or math.isinf(number):
-        raise ConfigurationError(
-            f"closed-loop source {kind!r}: {key} must be finite,"
-            f" got {value!r}"
-        )
-    return number
-
-
-def _positive(kind: str, key: str, value: Any) -> float:
-    number = _number(kind, key, value)
-    if not number > 0:
-        raise ConfigurationError(
-            f"closed-loop source {kind!r}: {key} must be a positive finite"
-            f" number, got {value!r}"
-        )
-    return number
-
-
-def _int(kind: str, key: str, value: Any, default: int) -> int:
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"closed-loop source {kind!r}: {key} must be an integer,"
-            f" got {value!r}"
-        )
-    return value
+register_closed_loop_source = CLOSED_LOOP_SOURCES.register
+available_closed_loop_sources = CLOSED_LOOP_SOURCES.available
+create_closed_loop_source = CLOSED_LOOP_SOURCES.from_spec
 
 
 @register_closed_loop_source(
@@ -274,33 +163,24 @@ def _int(kind: str, key: str, value: Any, default: int) -> int:
     " admission controller"
 )
 def _make_closed_loop(params: MutableMapping[str, Any]) -> ClosedLoopSource:
-    if "clients" not in params:
-        raise ConfigurationError(
-            "closed-loop source 'closed_loop' requires parameter 'clients'"
-        )
-    if "think_time" not in params:
-        raise ConfigurationError(
-            "closed-loop source 'closed_loop' requires parameter 'think_time'"
-        )
+    # ClosedLoopSource.__post_init__ validates every field; the floats
+    # are converted here so that to_dict() is canonical.
+    clients = CLOSED_LOOP_SOURCES.require(params, "clients", "closed_loop")
+    think_time = CLOSED_LOOP_SOURCES.require(params, "think_time", "closed_loop")
     admission = params.pop("admission_latency", None)
+    max_outstanding = params.pop("max_outstanding", None)
     return ClosedLoopSource(
-        clients=_int("closed_loop", "clients", params.pop("clients"), 1),
-        think_time=_positive(
-            "closed_loop", "think_time", params.pop("think_time")
-        ),
+        clients=clients,
+        think_time=positive("closed_loop think_time", think_time),
         think_distribution=str(
             params.pop("think_distribution", "exponential")
         ),
-        max_outstanding=_int(
-            "closed_loop", "max_outstanding",
-            params.pop("max_outstanding", None), 1,
-        ),
+        max_outstanding=1 if max_outstanding is None else max_outstanding,
         admission_latency=(
             None if admission is None
-            else _positive("closed_loop", "admission_latency", admission)
+            else positive("closed_loop admission_latency", admission)
         ),
-        admission_alpha=_number(
-            "closed_loop", "admission_alpha",
-            params.pop("admission_alpha", 0.2),
+        admission_alpha=finite(
+            "closed_loop admission_alpha", params.pop("admission_alpha", 0.2)
         ),
     )

@@ -6,9 +6,9 @@ not something buried in a workload's constructor.  An
 :class:`ArrivalModel` is a small, JSON-round-trippable object that takes
 a workload's *nominal* arrival process (the one the performance model
 plans around) and returns the process that actually drives each spout.
-Models are registered under string kinds — mirroring the scheduling
-policy registry — so a scenario names its traffic the same way it names
-its policy::
+Models are registered in :data:`ARRIVAL_MODELS`, a
+:class:`repro.utils.registry.Registry` like the scheduling-policy one,
+so a scenario names its traffic the same way it names its policy::
 
     {"arrival_model": {"kind": "mmpp2", "burst_ratio": 8.0,
                        "mean_burst": 5.0, "mean_gap": 20.0}}
@@ -22,6 +22,11 @@ Third-party models plug in with::
 Factories receive a *mutable copy* of the parameters and must consume
 every key they understand; leftovers are rejected so spec typos fail
 loudly instead of silently running the wrong traffic.
+
+>>> sorted(available_arrival_models())
+['diurnal', 'mmpp2', 'phased', 'poisson', 'trace']
+>>> create_arrival_model({"kind": "poisson"}).to_dict()
+{'kind': 'poisson', 'rate_multiplier': 1.0}
 
 Built-in kinds
 --------------
@@ -43,17 +48,8 @@ Built-in kinds
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Mapping,
-    MutableMapping,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, Mapping, MutableMapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.randomness.arrival import (
@@ -63,6 +59,7 @@ from repro.randomness.arrival import (
     PoissonProcess,
     SinusoidalRateProcess,
 )
+from repro.utils.registry import Registry, finite, positive
 from repro.workloads.trace import TRACE_MODES, Trace
 
 
@@ -77,7 +74,7 @@ class ArrivalModel:
     the campaign layer relies on it for content addressing.
     """
 
-    #: Registry kind, set by :func:`register_arrival_model`.
+    #: Registry kind, as registered in :data:`ARRIVAL_MODELS`.
     kind: str = ""
 
     def build(self, base: ArrivalProcess) -> ArrivalProcess:
@@ -89,111 +86,12 @@ class ArrivalModel:
         raise NotImplementedError
 
 
-ArrivalModelFactory = Callable[[MutableMapping[str, Any]], ArrivalModel]
+#: Every registered arrival model.
+ARRIVAL_MODELS = Registry("arrival model")
 
-
-@dataclass(frozen=True)
-class _Entry:
-    factory: ArrivalModelFactory
-    description: str
-
-
-_REGISTRY: Dict[str, _Entry] = {}
-
-
-def register_arrival_model(
-    name: str, description: str
-) -> Callable[[ArrivalModelFactory], ArrivalModelFactory]:
-    """Decorator registering an arrival-model factory under ``name``.
-
-    Like the policy registry, registration happens at import time in
-    the parent process; third-party models are visible to parallel
-    replications on fork-start platforms (Linux), or register them in a
-    module the workers import too.
-    """
-
-    def decorate(factory: ArrivalModelFactory) -> ArrivalModelFactory:
-        if name in _REGISTRY:
-            raise ConfigurationError(
-                f"arrival model {name!r} is already registered"
-            )
-        _REGISTRY[name] = _Entry(factory=factory, description=description)
-        return factory
-
-    return decorate
-
-
-def available_arrival_models() -> Dict[str, str]:
-    """Registered model kinds mapped to their one-line descriptions.
-
-    >>> sorted(available_arrival_models())
-    ['diurnal', 'mmpp2', 'phased', 'poisson', 'trace']
-    """
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
-
-
-def create_arrival_model(spec: Mapping[str, Any]) -> ArrivalModel:
-    """Build the model a plain ``{"kind": ..., **params}`` mapping names.
-
-    Unknown kinds and leftover parameters are rejected loudly.
-
-    >>> model = create_arrival_model({"kind": "poisson"})
-    >>> model.to_dict()
-    {'kind': 'poisson', 'rate_multiplier': 1.0}
-    """
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"arrival model spec must be a mapping, got {type(spec).__name__}"
-        )
-    if "kind" not in spec:
-        raise ConfigurationError("arrival model spec requires a 'kind' key")
-    kind = str(spec["kind"])
-    entry = _REGISTRY.get(kind)
-    if entry is None:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigurationError(
-            f"unknown arrival model {kind!r}; available models: {known}"
-        )
-    remaining: Dict[str, Any] = {k: v for k, v in spec.items() if k != "kind"}
-    model = entry.factory(remaining)
-    if remaining:
-        raise ConfigurationError(
-            f"arrival model {kind!r} got unknown parameters"
-            f" {sorted(remaining)}"
-        )
-    return model
-
-
-def _number(kind: str, key: str, value: Any) -> float:
-    """``value`` as a finite float, or a spec-level ConfigurationError.
-
-    Every parameter conversion goes through here (or :func:`_positive`)
-    so a non-numeric or NaN/inf value in a JSON spec fails with the
-    same loud, catchable error as an unknown kind — never a bare
-    ``ValueError`` traceback, and never a NaN that passes comparison
-    guards only to hang or crash mid-replication in a worker.
-    """
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"arrival model {kind!r}: {key} must be a number, got {value!r}"
-        ) from None
-    if math.isnan(number) or math.isinf(number):
-        raise ConfigurationError(
-            f"arrival model {kind!r}: {key} must be finite, got {value!r}"
-        )
-    return number
-
-
-def _positive(kind: str, key: str, value: Any) -> float:
-    number = _number(kind, key, value)
-    if not number > 0:
-        raise ConfigurationError(
-            f"arrival model {kind!r}: {key} must be a positive finite"
-            f" number, got {value!r}"
-        )
-    return number
+register_arrival_model = ARRIVAL_MODELS.register
+available_arrival_models = ARRIVAL_MODELS.available
+create_arrival_model = ARRIVAL_MODELS.from_spec
 
 
 # ----------------------------------------------------------------------
@@ -258,15 +156,15 @@ class MMPP2Model(ArrivalModel):
     kind = "mmpp2"
 
     def __post_init__(self):
-        # _number first: a NaN burst_ratio passes the <= comparison and
+        # finite() first: a NaN burst_ratio passes the <= comparison and
         # would otherwise surface only mid-replication in a worker.
-        if _number("mmpp2", "burst_ratio", self.burst_ratio) <= 1.0:
+        if finite("mmpp2 burst_ratio", self.burst_ratio) <= 1.0:
             raise ConfigurationError(
                 f"mmpp2 burst_ratio must be > 1 (1 is plain Poisson),"
                 f" got {self.burst_ratio}"
             )
         for key in ("mean_burst", "mean_gap", "rate_multiplier"):
-            _positive("mmpp2", key, getattr(self, key))
+            positive(f"mmpp2 {key}", getattr(self, key))
 
     @property
     def burst_fraction(self) -> float:
@@ -324,16 +222,16 @@ class DiurnalModel(ArrivalModel):
     kind = "diurnal"
 
     def __post_init__(self):
-        amplitude = _number("diurnal", "amplitude", self.amplitude)
+        amplitude = finite("diurnal amplitude", self.amplitude)
         if not 0.0 <= amplitude < 1.0:
             raise ConfigurationError(
                 f"diurnal amplitude must be in [0, 1), got {self.amplitude}"
             )
-        _positive("diurnal", "period", self.period)
+        positive("diurnal period", self.period)
         # A NaN phase would make the thinning accept test never pass —
         # next_gap() would spin forever — so finiteness is load-time fatal.
-        _number("diurnal", "phase", self.phase)
-        _positive("diurnal", "rate_multiplier", self.rate_multiplier)
+        finite("diurnal phase", self.phase)
+        positive("diurnal rate_multiplier", self.rate_multiplier)
 
     def build(self, base: ArrivalProcess) -> ArrivalProcess:
         return SinusoidalRateProcess(
@@ -390,14 +288,12 @@ class TraceModel(ArrivalModel):
             raise ConfigurationError(
                 f"trace mode must be one of {TRACE_MODES}, got {self.mode!r}"
             )
-        _positive("trace", "time_scale", self.time_scale)
+        positive("trace time_scale", self.time_scale)
         if self.timestamps is not None:
             object.__setattr__(
                 self,
                 "timestamps",
-                tuple(
-                    _number("trace", "timestamps", t) for t in self.timestamps
-                ),
+                tuple(finite("trace timestamps", t) for t in self.timestamps),
             )
 
     def load_trace(self) -> Trace:
@@ -441,9 +337,9 @@ class TraceModel(ArrivalModel):
 # factories
 # ----------------------------------------------------------------------
 def _pop_multiplier(kind: str, params: MutableMapping[str, Any]) -> float:
-    if "rate_multiplier" not in params:
-        return 1.0
-    return _positive(kind, "rate_multiplier", params.pop("rate_multiplier"))
+    return positive(
+        f"{kind} rate_multiplier", params.pop("rate_multiplier", 1.0)
+    )
 
 
 @register_arrival_model(
@@ -490,8 +386,8 @@ def _make_phased(params: MutableMapping[str, Any]) -> ArrivalModel:
                 ) from None
         phases.append(
             (
-                _number("phased", "start", start),
-                _positive("phased", "rate_multiplier", multiplier),
+                finite("phased start", start),
+                positive("phased rate_multiplier", multiplier),
             )
         )
     try:
@@ -507,11 +403,9 @@ def _make_phased(params: MutableMapping[str, Any]) -> ArrivalModel:
 )
 def _make_mmpp2(params: MutableMapping[str, Any]) -> ArrivalModel:
     def take(key: str) -> float:
-        if key not in params:
-            raise ConfigurationError(
-                f"arrival model 'mmpp2' requires parameter {key!r}"
-            )
-        return _number("mmpp2", key, params.pop(key))
+        return finite(
+            f"mmpp2 {key}", ARRIVAL_MODELS.require(params, key, "mmpp2")
+        )
 
     return MMPP2Model(
         burst_ratio=take("burst_ratio"),
@@ -526,16 +420,16 @@ def _make_mmpp2(params: MutableMapping[str, Any]) -> ArrivalModel:
     " day/night load cycle)"
 )
 def _make_diurnal(params: MutableMapping[str, Any]) -> ArrivalModel:
-    for key in ("amplitude", "period"):
-        if key not in params:
-            raise ConfigurationError(
-                f"arrival model 'diurnal' requires parameter {key!r}"
-            )
-    # Range/finiteness validation lives in DiurnalModel.__post_init__.
+    def take(key: str) -> float:
+        return finite(
+            f"diurnal {key}", ARRIVAL_MODELS.require(params, key, "diurnal")
+        )
+
+    # Range validation lives in DiurnalModel.__post_init__.
     return DiurnalModel(
-        amplitude=_number("diurnal", "amplitude", params.pop("amplitude")),
-        period=_number("diurnal", "period", params.pop("period")),
-        phase=_number("diurnal", "phase", params.pop("phase", 0.0)),
+        amplitude=take("amplitude"),
+        period=take("period"),
+        phase=finite("diurnal phase", params.pop("phase", 0.0)),
         rate_multiplier=_pop_multiplier("diurnal", params),
     )
 
@@ -553,9 +447,7 @@ def _make_trace(params: MutableMapping[str, Any]) -> ArrivalModel:
         # each one, so a bad entry fails as a ConfigurationError.
         timestamps=tuple(timestamps) if timestamps is not None else None,
         mode=str(params.pop("mode", "replay")),
-        time_scale=_positive(
-            "trace", "time_scale", params.pop("time_scale", 1.0)
-        ),
+        time_scale=positive("trace time_scale", params.pop("time_scale", 1.0)),
     )
     # Inline timestamps are validated eagerly (they are part of the
     # spec); file-backed traces are validated when the replication

@@ -169,6 +169,45 @@ class TestPlatformSpec:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("machines", 0, "speed"),
+            ("links", 0, "latency"),
+            ("links", 0, "bandwidth"),
+            ("default_latency",),
+            ("default_bandwidth",),
+            ("tuple_bytes",),
+            ("failure", "mean_up"),
+            ("failure", "mean_down"),
+        ],
+        ids=lambda path: ".".join(str(key) for key in path),
+    )
+    def test_non_finite_numbers_fail_at_spec_load(self, path, bad):
+        """NaN passes ``<= 0`` guards and inf passes ``> 0``: either one
+        used to load and then crash mid-replication."""
+        platform = {
+            "machines": [{"name": "m0"}, {"name": "m1"}],
+            "links": [{"source": "m0", "target": "m1", "latency": 0.001,
+                       "bandwidth": 1e8}],
+            "default_latency": 0.002,
+            "default_bandwidth": 1e8,
+            "tuple_bytes": 512,
+            "failure": {"kind": "exponential", "mean_up": 60.0,
+                        "mean_down": 5.0},
+        }
+        scenario = dict(LEGACY_SPEC, workload_params={"total_cpu": 0.03})
+        ScenarioSpec.from_dict(dict(scenario, platform=platform))  # valid
+        target = platform
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(ConfigurationError, match=path[-1]):
+            ScenarioSpec.from_dict(dict(scenario, platform=platform))
+
     def test_transfer_matrix(self):
         spec = PlatformSpec.from_dict(
             {
