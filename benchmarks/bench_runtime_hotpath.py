@@ -137,7 +137,7 @@ def fanout_case():
 
 def platform_off_case():
     """Identical to ``linear`` — tracked separately to bound the cost of
-    the platform guards (the ``het`` flag test per emitted copy and the
+    the platform guards (the ``het`` flag test per service start and the
     ``dead`` check per finish) when no platform block is set.  The
     baseline entry is a copy of pre-platform ``linear``, so the CI gate
     on this row proves the no-platform path stayed within tolerance."""

@@ -368,6 +368,9 @@ def run_replication(spec: ScenarioSpec, index: int) -> ReplicationResult:
     )
     runtime.start()
     simulator.run_until(spec.duration)
+    # O(clients): every tracked tree and closed-loop request is
+    # accounted for, or the replication fails loudly.
+    runtime.check_conservation()
 
     stats = runtime.stats(warmup=spec.warmup)
     recommendation = None

@@ -29,11 +29,13 @@ The DRS measurer is wired into the hot path; a measurement tick fires
 every ``Tm`` simulated seconds and the resulting report is passed to the
 ``on_measurement`` hook (where the live controller sits).
 
-Hot-path design (ISSUE 2)
--------------------------
+Hot-path design
+---------------
 Every tuple movement goes through typed events (``Simulator.schedule_event``)
-dispatched by kind — no per-event closures or handles.  Routing state is
-precomputed once per runtime:
+dispatched by kind — no per-event closures or handles.  Each tuple takes
+one path: ``_emit_tuples`` samples the gain, ``_deliver`` picks the
+executor and ``_begin_service`` starts the service and pushes the finish
+event.  Routing state is precomputed once per runtime:
 
 - ``_Route`` records carry the target operator runtime, the resolved
   grouping (``None`` for free-choice/shuffle), the deterministic-gain
@@ -336,7 +338,6 @@ class _Route:
     placement-mean link cost."""
 
     __slots__ = (
-        "edge",
         "op",
         "sel",
         "fanout",
@@ -347,7 +348,6 @@ class _Route:
     )
 
     def __init__(self, edge, op, measurer: Measurer):
-        self.edge = edge
         self.op = op
         grouping = edge.grouping
         free_choice = grouping is None or isinstance(grouping, ShuffleGrouping)
@@ -395,8 +395,6 @@ class _OperatorRuntime:
 
     __slots__ = (
         "name",
-        "service",
-        "discipline",
         "shared",
         "jsq",
         "executors",
@@ -420,8 +418,6 @@ class _OperatorRuntime:
 
     def __init__(self, name: str, service: Distribution, discipline: str):
         self.name = name
-        self.service = service
-        self.discipline = discipline
         self.shared = discipline == "shared"
         self.jsq = discipline == "jsq"
         self.executors: List[_Executor] = []
@@ -450,14 +446,6 @@ class _OperatorRuntime:
         # this queue drains (both unused unless backpressure is on).
         self.full = False
         self.bp_preds: Tuple["_OperatorRuntime", ...] = ()
-
-    @property
-    def parallelism(self) -> int:
-        return len(self.executors)
-
-    def queued_total(self) -> int:
-        """Tuples queued at this operator — O(1) (maintained counter)."""
-        return self.queued
 
     def set_executors(self, k: int) -> None:
         """Install ``k`` fresh executors (and a fresh jsq heap when the
@@ -662,11 +650,6 @@ class TopologyRuntime:
         # Hot-path constants, prebound RNG methods and typed-event kinds.
         self._het = self._platform is not None
         self._queue_limit = self._options.queue_limit
-        # Free-choice deliveries skip the generic _deliver path entirely
-        # while unpaused (the queue-limit test is O(1) inline); kept in
-        # sync by apply_allocation.  Backpressure needs every delivery
-        # on the generic path, where full-queue marking lives.
-        self._fast = not self._bp
         self._pull_interval = self._options.measurement.pull_interval
         self._fanout_random = self._fanout_rng.random
         self._route_randrange = self._route_rng.randrange
@@ -808,7 +791,6 @@ class TopologyRuntime:
         )
         self._rebalances += 1
         self._paused = True
-        self._fast = False
         # Move all queued tuples into per-operator holding buffers.
         for runtime in self._operators.values():
             displaced = runtime.resize(0)
@@ -828,7 +810,6 @@ class TopologyRuntime:
                     self._pin_executors(runtime, pattern)
                 self._refresh_transfers()
             self._paused = False
-            self._fast = not self._bp
             for runtime in self._operators.values():
                 held = list(runtime.held)
                 runtime.held.clear()
@@ -993,34 +974,25 @@ class TopologyRuntime:
     # ------------------------------------------------------------------
     # typed-event handlers (the hot path)
     #
-    # The emission pipeline (gain sampling, arrival counting, hop delay,
-    # free-choice delivery, service start, finish-event push) is fully
-    # inlined in ``_emit_tuples`` — one interpreter frame per processed
-    # tuple.  Inlining means: direct counter and Welford-accumulator
-    # updates (same arithmetic as their methods), direct tuple-tree
-    # bookkeeping (same semantics as TupleTreeTracker
-    # add_pending/complete_one) and direct event-heap pushes (same
-    # validation and sequence numbering as ``Simulator.schedule_event``).
-    # The RNG draw order matches the original _sample_count/_dispatch
-    # factoring exactly: fanout draw, then per-copy hop/routing draws.
-    # Any change here must keep tests/test_golden_determinism.py green
-    # without regenerating its fixtures.
+    # Every copy takes one path: ``_emit_tuples`` -> ``_deliver`` (now,
+    # or via ``_on_hop`` after the route's transfer delay) ->
+    # ``_begin_service``.  They inline counter, Welford and tuple-tree
+    # updates and the finish-event push, with the same arithmetic,
+    # validation and sequence numbering as the methods they replace.
+    # RNG draw order: fanout draw, then per-copy routing and service
+    # draws.  Any change here must keep tests/test_golden_determinism.py
+    # green without regenerating its fixtures.
     # ------------------------------------------------------------------
-    def _emit_tuples(self, routes, payload, root, now, external: bool) -> None:
+    def _emit_tuples(self, routes, payload, root, external: bool) -> None:
         """Emit one processed tuple's downstream copies along ``routes``.
 
-        One frame per processed tuple: fanout sampling, tree
-        bookkeeping, hop delay, free-choice delivery and service start
-        are all inlined below."""
+        Samples each route's copy count, grows the tuple tree, then
+        hands every copy to ``_deliver`` (after its transfer delay when
+        the route has one)."""
         sim = self._sim
-        tracker = self._tracker
         roots = self._roots
-        fast = self._fast
-        limit = self._queue_limit
         ext_counter = self._external_counter if external else None
         frandom = self._fanout_random
-        het = self._het
-        kind_finish = self._kind_finish
         state = roots.get(root)
         for route in routes:
             fanout = route.fanout
@@ -1046,112 +1018,39 @@ class TopologyRuntime:
                 size = state[2] + count
                 state[2] = size
                 if size > self._max_tree_size:
-                    # An exploding tree means an unstable feedback loop;
-                    # drop it and count the drop so callers can alert.
-                    if roots.pop(root, None) is not None:
-                        tracker._dropped += 1
-                        if self._cl is not None:
-                            self._cl_release(root)
+                    self._drop_oversized(root)
                     state = None
             arrivals = route.arrivals
+            delay = route.transfer
             op = route.op
             sel = route.sel
             for _ in range(count):
                 arrivals._count += 1
                 if ext_counter is not None:
                     ext_counter._count += 1
-                delay = route.transfer
                 if delay > 0.0:
                     sim.schedule_event(delay, self._kind_hop, route, payload)
-                    continue
-                # -- delivery (zero hop delay) ------------------------
-                if sel is not None or not fast or op.shared:
-                    self._deliver(op, payload, sel)
-                    continue
-                if limit is not None and op.queued >= limit:
-                    self._drop(payload)
-                    continue
-                executors = op.executors
-                n_ex = len(executors)
-                if n_ex == 0:
-                    self._drop(payload)
-                    continue
-                jheap = op.jsq_heap
-                if jheap is not None:
-                    while True:
-                        load, index = jheap[0]
-                        executor = executors[index]
-                        if executor.load == load:
-                            break
-                        _heappop(jheap)
-                    load += 1
-                    executor.load = load
-                    _heappush(jheap, (load, index))
-                    if len(jheap) > op.jsq_rebuild:
-                        jheap[:] = sorted(
-                            (ex.load, i) for i, ex in enumerate(executors)
-                        )
-                elif op.jsq:
-                    best_index = 0
-                    best_load = math.inf
-                    for index, executor in enumerate(executors):
-                        load = len(executor.queue) + (1 if executor.busy else 0)
-                        if load < best_load:
-                            best_load = load
-                            best_index = index
-                            if load == 0:
-                                break
-                    executor = executors[best_index]
-                else:  # hashed
-                    executor = executors[self._route_randrange(n_ex)]
-                if executor.busy:
-                    executor.queue.append((payload, now))
-                    op.queued += 1
-                    continue
-                # -- service start on an idle executor ----------------
-                # (skipping the enqueue/dequeue round-trip; the queue
-                # wait is exactly 0.0, as now - now was in _begin_service)
-                executor.busy = True
-                ws = op.wait_stats
-                n = ws._n + 1
-                ws._n = n
-                delta = 0.0 - ws._mean
-                mean = ws._mean + delta / n
-                ws._mean = mean
-                ws._m2 += delta * (0.0 - mean)
-                if 0.0 < ws._min:
-                    ws._min = 0.0
-                if 0.0 > ws._max:
-                    ws._max = 0.0
-                srandom = op.service_random
-                if srandom is not None:  # inline expovariate
-                    duration = -_log(1.0 - srandom()) / op.service_rate
                 else:
-                    duration = op.sample_service(op.service_rng)
-                if het:
-                    duration /= executor.speed
-                ss = op.service_stats
-                n = ss._n + 1
-                ss._n = n
-                delta = duration - ss._mean
-                mean = ss._mean + delta / n
-                ss._mean = mean
-                ss._m2 += delta * (duration - mean)
-                if duration < ss._min:
-                    ss._min = duration
-                if duration > ss._max:
-                    ss._max = duration
-                executor.payload = payload
-                executor.duration = duration
-                # inline Simulator.schedule_event
-                if not duration >= 0.0:  # negative or NaN service time
-                    raise SimulationError(
-                        f"cannot schedule into the past: delay={duration}"
-                    )
-                time = now + duration
-                seq = sim._seq
-                sim._seq = seq + 1
-                _heappush(sim._queue, (time, seq, kind_finish, op, executor))
+                    self._deliver(op, payload, sel)
+
+    def _inject(self, routes, now: float, client=None) -> None:
+        """Admit one external tuple: register its tree root, emit it
+        along ``routes``, then complete the root itself.
+
+        A closed-loop ``client`` holds the root (and an outstanding
+        slot) *before* the emission, so a queue-limit drop during it
+        releases the client the same way a completion does."""
+        root_id = self._root_counter
+        self._root_counter = root_id + 1
+        self._external_tuples += 1
+        tracker = self._tracker
+        tracker.register_root(root_id, now)
+        if client is not None:
+            self._cl_roots[root_id] = client
+            client.outstanding += 1
+        self._emit_tuples(routes, {"root": root_id}, root_id, True)
+        # The root "tuple" itself needs no processing once emitted.
+        tracker.complete_one(root_id, now)
 
     def _on_spout(self, source: _SpoutSource, _unused) -> None:
         """One external arrival: emit its tuple tree roots, then
@@ -1165,15 +1064,7 @@ class TopologyRuntime:
             source.blocked_since = now
             self._bp_waiters.append(source)
             return
-        root_id = self._root_counter
-        self._root_counter = root_id + 1
-        self._external_tuples += 1
-        tracker = self._tracker
-        tracker.register_root(root_id, now)
-        payload = {"root": root_id}
-        self._emit_tuples(source.routes, payload, root_id, now, True)
-        # The root "tuple" itself needs no processing once emitted.
-        tracker.complete_one(root_id, now)
+        self._inject(source.routes, now)
         gap = source.next_gap(sim._now, source.rng)
         sim.schedule_event(gap, self._kind_spout, source)
 
@@ -1214,9 +1105,6 @@ class TopologyRuntime:
         request is counted as rejected and never enters the topology —
         the client simply thinks again (a fast retry-after).
         """
-        sim = self._sim
-        now = sim._now
-        cl = self._cl
         source = client.source
         self._issued_requests += 1
         admit_at = self._cl_admission
@@ -1227,21 +1115,9 @@ class TopologyRuntime:
         ):
             self._admission_rejected += 1
         else:
-            root_id = self._root_counter
-            self._root_counter = root_id + 1
-            self._external_tuples += 1
-            tracker = self._tracker
-            tracker.register_root(root_id, now)
-            # Map the root (and bump outstanding) *before* emitting:
-            # a queue-limit drop during emission must release the
-            # client through the same idempotent path as a completion.
-            self._cl_roots[root_id] = client
-            client.outstanding += 1
-            payload = {"root": root_id}
-            self._emit_tuples(source.routes, payload, root_id, now, True)
-            tracker.complete_one(root_id, now)
-        gap = cl.think_gap(source.rng)
-        sim.schedule_event(gap, self._kind_client, client)
+            self._inject(source.routes, self._sim._now, client)
+        gap = self._cl.think_gap(source.rng)
+        self._sim.schedule_event(gap, self._kind_client, client)
 
     def _cl_release(self, root: int) -> None:
         """A root left the system (completed or dropped): free its
@@ -1269,8 +1145,7 @@ class TopologyRuntime:
             if payload is not None:
                 self._drop(payload)
             return
-        sim = self._sim
-        now = sim._now
+        now = self._sim._now
         op.processed += 1
         duration = executor.duration
         # inline SampledAccumulator.offer (the measurer's service channel)
@@ -1289,7 +1164,7 @@ class TopologyRuntime:
         roots = self._roots
         routes = op.out_routes
         if routes:
-            self._emit_tuples(routes, payload, root, now, False)
+            self._emit_tuples(routes, payload, root, False)
         # inline TupleTreeTracker.complete_one (refreshed get: a queue
         # drop during emission may have removed the tree)
         state = roots.get(root)
@@ -1320,62 +1195,14 @@ class TopologyRuntime:
         if op.shared:
             self._kick_shared(op)
             return
-        if self._paused or executor.busy:
+        if self._paused:
             return
         if self._bp and not self._bp_can_serve(op):
             # A successor queue is full: leave the executor idle; the
             # successor's drain wakes this operator's predecessor side.
             return
-        queue = executor.queue
-        if not queue:
-            return
-        # -- restart on the next queued tuple (inline _begin_service) --
-        executor.busy = True
-        head_payload, enqueued_at = queue.popleft()
-        op.queued -= 1
-        ws = op.wait_stats
-        value = now - enqueued_at
-        n = ws._n + 1
-        ws._n = n
-        delta = value - ws._mean
-        mean = ws._mean + delta / n
-        ws._mean = mean
-        ws._m2 += delta * (value - mean)
-        if value < ws._min:
-            ws._min = value
-        if value > ws._max:
-            ws._max = value
-        srandom = op.service_random
-        if srandom is not None:  # inline expovariate
-            duration = -_log(1.0 - srandom()) / op.service_rate
-        else:
-            duration = op.sample_service(op.service_rng)
-        if self._het:
-            duration /= executor.speed
-        ss = op.service_stats
-        n = ss._n + 1
-        ss._n = n
-        delta = duration - ss._mean
-        mean = ss._mean + delta / n
-        ss._mean = mean
-        ss._m2 += delta * (duration - mean)
-        if duration < ss._min:
-            ss._min = duration
-        if duration > ss._max:
-            ss._max = duration
-        executor.payload = head_payload
-        executor.duration = duration
-        if not duration >= 0.0:  # negative or NaN service time
-            raise SimulationError(
-                f"cannot schedule into the past: delay={duration}"
-            )
-        time = now + duration
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._queue, (time, seq, self._kind_finish, op, executor))
-        if self._bp and op.full and op.queued < self._queue_limit:
-            op.full = False
-            self._bp_release(op)
+        if executor.queue:
+            self._begin_service(op, executor)
 
     def _on_tick(self, _a, _b) -> None:
         report = self._measurer.pull(self._sim.now)
@@ -1393,30 +1220,32 @@ class TopologyRuntime:
         payload: dict,
         grouping,
     ) -> None:
-        """Place a tuple into ``op``'s queue structure.
+        """Route a tuple into ``op``: queue it, or start it at once on
+        the chosen executor when that one is idle.
 
         ``grouping`` is ``None`` for free-choice tuples (shuffle edges
         and rebalance redistribution) and the grouping object otherwise.
         """
+        bp = self._bp
         limit = self._queue_limit
-        if limit is not None and op.queued >= limit:
-            if self._bp:
+        if limit is not None:
+            if op.queued >= limit:
+                if not bp:
+                    self._drop(payload)
+                    return
                 # Backpressure: never drop.  Tuples already in flight
                 # (emitted before the queue filled) still land — the
                 # limit is a signal line, not a hard wall — and the
                 # full flag pauses everything upstream.
                 op.full = True
-            else:
-                self._drop(payload)
-                return
-        elif self._bp and limit is not None and op.queued == limit - 1:
-            op.full = True  # this enqueue reaches the limit
+            elif bp and op.queued == limit - 1:
+                op.full = True  # this enqueue reaches the limit
         if self._paused:
             op.held.append(payload)
             op.queued += 1
             return
-        now = self._sim.now
-        can_start = not self._bp or self._bp_can_serve(op)
+        now = self._sim._now
+        can_start = not bp or self._bp_can_serve(op)
         if op.shared:
             op.shared_queue.append((payload, now))
             op.queued += 1
@@ -1442,28 +1271,22 @@ class TopologyRuntime:
                 # load change pushes a fresh pair, the heap always holds
                 # each executor's current pair, so the first valid top is
                 # the scan's answer: minimum load, lowest index on ties.
-                heappop = heapq.heappop
                 while True:
                     load, index = jheap[0]
                     executor = executors[index]
                     if executor.load == load:
                         break
-                    heappop(jheap)
-                executor.queue.append((payload, now))
-                op.queued += 1
+                    _heappop(jheap)
                 load += 1
                 executor.load = load
-                heapq.heappush(jheap, (load, index))
+                _heappush(jheap, (load, index))
                 if len(jheap) > op.jsq_rebuild:
                     # Rare compaction: drop stale pairs (a sorted list of
                     # the current pairs is already a valid heap).
                     jheap[:] = sorted(
                         (ex.load, i) for i, ex in enumerate(executors)
                     )
-                if can_start and not executor.busy:
-                    self._begin_service(op, executor)
-                return
-            if op.jsq:
+            elif op.jsq:
                 best_index = 0
                 best_load = math.inf
                 for index, executor in enumerate(executors):
@@ -1475,10 +1298,17 @@ class TopologyRuntime:
                             break
                 executor = executors[best_index]
             else:  # hashed
-                executor = executors[self._route_rng.randrange(n)]
+                executor = executors[self._route_randrange(n)]
+            if can_start and not executor.busy and not executor.queue:
+                # Straight into service: a queue round-trip would record
+                # the same zero wait.
+                self._begin_service(op, executor, payload, now)
+                return
             executor.queue.append((payload, now))
             op.queued += 1
             if can_start and not executor.busy:
+                # Only under backpressure: older tuples waited here
+                # while a successor was full; they go first.
                 self._begin_service(op, executor)
             return
         indices = grouping.select_tasks(payload, n, self._route_rng)
@@ -1487,8 +1317,15 @@ class TopologyRuntime:
             return
         copies = len(indices)
         if copies > 1:
-            # Replication (broadcast): each copy is an extra pending tuple.
-            self._tracker.add_pending(payload["root"], copies - 1)
+            # Replication (broadcast): each copy is an extra pending
+            # tuple (inline TupleTreeTracker.add_pending).
+            root = payload["root"]
+            state = self._roots.get(root)
+            if state is not None:
+                state[1] += copies - 1
+                state[2] += copies - 1
+                if state[2] > self._max_tree_size:
+                    self._drop_oversized(root)
         jheap = op.jsq_heap
         for index in indices:
             executor = executors[index]
@@ -1497,7 +1334,7 @@ class TopologyRuntime:
             if jheap is not None:
                 load = executor.load + 1
                 executor.load = load
-                heapq.heappush(jheap, (load, index))
+                _heappush(jheap, (load, index))
                 if len(jheap) > op.jsq_rebuild:
                     jheap[:] = sorted(
                         (ex.load, i) for i, ex in enumerate(executors)
@@ -1514,6 +1351,19 @@ class TopologyRuntime:
         if self._cl is not None:
             self._cl_release(root)
 
+    def _drop_oversized(self, root: int) -> None:
+        """Abandon a tree that outgrew the tracker's size cap.
+
+        An exploding tree means an unstable feedback loop: the tree is
+        dropped (and counted, so callers can alert) and its closed-loop
+        client gets its slot back.  No tuple is dropped — copies still
+        in flight are served, they just no longer belong to a tree.
+        """
+        if self._roots.pop(root, None) is not None:
+            self._tracker._dropped += 1
+            if self._cl is not None:
+                self._cl_release(root)
+
     # ------------------------------------------------------------------
     # bolt side
     # ------------------------------------------------------------------
@@ -1529,21 +1379,37 @@ class TopologyRuntime:
             if not shared_queue:
                 break
             if not executor.busy:
-                # shared pop and executor append cancel out in `queued`;
-                # _begin_service accounts the service pop.
-                executor.queue.append(shared_queue.popleft())
-                self._begin_service(op, executor)
+                payload, enqueued_at = shared_queue.popleft()
+                op.queued -= 1
+                self._begin_service(op, executor, payload, enqueued_at)
 
-    def _begin_service(self, op: _OperatorRuntime, executor: _Executor) -> None:
-        """Start serving the executor's queue head.  Callers guarantee
-        the executor is idle, its queue non-empty, and the runtime not
-        paused (the checks the old guarded ``_start_service`` re-did on
-        every call)."""
+    def _begin_service(self, op, executor, payload=None, enqueued_at=0.0) -> None:
+        """Start serving ``payload`` (default: the executor's queue
+        head): record its queue wait, draw the service time and push the
+        finish event.
+
+        The one service-start routine.  Callers guarantee the executor
+        is idle, the runtime not paused, and either a ``payload`` with
+        an empty queue or a non-empty queue."""
         executor.busy = True
-        payload, enqueued_at = executor.queue.popleft()
-        op.queued -= 1
+        if payload is None:
+            payload, enqueued_at = executor.queue.popleft()
+            op.queued -= 1
         sim = self._sim
-        op.wait_stats.add(sim._now - enqueued_at)
+        now = sim._now
+        # inline WelfordAccumulator.add (queue wait)
+        value = now - enqueued_at
+        ws = op.wait_stats
+        n = ws._n + 1
+        ws._n = n
+        delta = value - ws._mean
+        mean = ws._mean + delta / n
+        ws._mean = mean
+        ws._m2 += delta * (value - mean)
+        if value < ws._min:
+            ws._min = value
+        if value > ws._max:
+            ws._max = value
         srandom = op.service_random
         if srandom is not None:  # inline expovariate
             duration = -_log(1.0 - srandom()) / op.service_rate
@@ -1551,10 +1417,29 @@ class TopologyRuntime:
             duration = op.sample_service(op.service_rng)
         if self._het:
             duration /= executor.speed
-        op.service_stats.add(duration)
+        # inline WelfordAccumulator.add (service time)
+        ss = op.service_stats
+        n = ss._n + 1
+        ss._n = n
+        delta = duration - ss._mean
+        mean = ss._mean + delta / n
+        ss._mean = mean
+        ss._m2 += delta * (duration - mean)
+        if duration < ss._min:
+            ss._min = duration
+        if duration > ss._max:
+            ss._max = duration
         executor.payload = payload
         executor.duration = duration
-        sim.schedule_event(duration, self._kind_finish, op, executor)
+        # inline Simulator.schedule_event
+        if not duration >= 0.0:  # negative or NaN service time
+            raise SimulationError(
+                f"cannot schedule into the past: delay={duration}"
+            )
+        time = now + duration
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(sim._queue, (time, seq, self._kind_finish, op, executor))
         if self._bp and op.full and op.queued < self._queue_limit:
             op.full = False
             self._bp_release(op)
@@ -1617,17 +1502,9 @@ class TopologyRuntime:
         if isinstance(waiter, _SpoutSource):
             # Emit the arrival that was deferred when the source
             # paused, then resume the arrival process from now.
-            source = waiter
-            root_id = self._root_counter
-            self._root_counter = root_id + 1
-            self._external_tuples += 1
-            tracker = self._tracker
-            tracker.register_root(root_id, now)
-            payload = {"root": root_id}
-            self._emit_tuples(source.routes, payload, root_id, now, True)
-            tracker.complete_one(root_id, now)
-            gap = source.next_gap(now, source.rng)
-            self._sim.schedule_event(gap, self._kind_spout, source)
+            self._inject(waiter.routes, now)
+            gap = waiter.next_gap(now, waiter.rng)
+            self._sim.schedule_event(gap, self._kind_spout, waiter)
         else:
             self._client_issue(waiter)
 
@@ -1651,18 +1528,12 @@ class TopologyRuntime:
     def _pin_executors(
         self, op: _OperatorRuntime, pattern: Tuple[int, ...]
     ) -> None:
-        """Bind each executor of ``op`` to its machine (index + speed).
-
-        A busy executor keeps its ``dead`` mark: the kill must survive
-        re-pinning so the in-flight tuple still dies at its finish
-        event.  Idle executors can never be dead-pending.
-        """
+        """Bind each of ``op``'s freshly built executors to its machine
+        (index + speed)."""
         speeds = self._platform.machine_speeds
         for executor, machine in zip(op.executors, pattern):
             executor.machine = machine
             executor.speed = speeds[machine]
-            if not executor.busy:
-                executor.dead = False
 
     def _alive_pattern(self, name: str) -> Tuple[int, ...]:
         """The operator's placement restricted to machines that are up.

@@ -26,6 +26,7 @@ Four contracts, mirroring the platform-layer suite's structure:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -35,11 +36,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.runtime as runtime_module
 from repro.campaigns.hybrid import AnalyticCellEvaluator
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.measurement.sojourn import TupleTreeTracker
 from repro.scenarios.registry import available_policies, create_policy
 from repro.scenarios.runner import run_replication
 from repro.scenarios.spec import ScenarioSpec
@@ -47,6 +50,7 @@ from repro.scheduler.allocation import Allocation
 from repro.sim.engine import Simulator
 from repro.sim.runtime import RuntimeOptions, TopologyRuntime
 from repro.topology.builder import TopologyBuilder
+from repro.topology.grouping import BroadcastGrouping
 from repro.workloads import (
     available_closed_loop_sources,
     create_closed_loop_source,
@@ -189,6 +193,62 @@ class TestInvariants:
             duration=30.0,
         )
         assert bounded.blocked_time >= 0.0
+
+
+# ----------------------------------------------------------------------
+# tree-size cap: a capped tree frees its client's slot
+# ----------------------------------------------------------------------
+class TestTreeCapReleasesClient:
+    """Both tree-size cap checks — on an emission's gain and on a
+    broadcast's replicas — give the dropped tree's client its slot
+    back, so a one-slot client keeps issuing instead of sticking."""
+
+    def _run_capped(self, monkeypatch, grouping, gain):
+        # Cap every tree at 3 tuples: root + one "a" tuple + one "b"
+        # copy fit; 4 broadcast replicas or a gain of 5 do not.
+        monkeypatch.setattr(
+            runtime_module,
+            "TupleTreeTracker",
+            functools.partial(TupleTreeTracker, max_tree_size=3),
+        )
+        topology = (
+            TopologyBuilder("cl_cap")
+            .add_spout("src", rate=1.0)
+            .add_operator("a", mu=50.0)
+            .add_operator("b", mu=50.0)
+            .connect("src", "a")
+            .connect("a", "b", gain=gain, grouping=grouping)
+            .build()
+        )
+        source = create_closed_loop_source(
+            {"kind": "closed_loop", "clients": 1, "think_time": 0.5,
+             "max_outstanding": 1}
+        )
+        sim = Simulator()
+        runtime = TopologyRuntime(
+            sim, topology, Allocation(["a", "b"], [1, 4]),
+            RuntimeOptions(seed=11, closed_loop=source),
+        )
+        runtime.start()
+        sim.run_until(30.0)
+        runtime.check_conservation()
+        return runtime
+
+    @pytest.mark.parametrize(
+        "grouping, gain",
+        [(BroadcastGrouping(), 1.0), (None, 5.0)],
+        ids=["broadcast", "shuffle-gain"],
+    )
+    def test_capped_trees_release_their_client(
+        self, monkeypatch, grouping, gain
+    ):
+        runtime = self._run_capped(monkeypatch, grouping, gain)
+        # Every tree outgrows the cap, so none completes ...
+        assert runtime.tracker.completed == 0
+        assert runtime.tracker.dropped >= runtime.issued_requests - 1
+        # ... yet the client keeps issuing: ~2 requests per simulated
+        # second at a 0.5 s think time, not one request and a hang.
+        assert runtime.issued_requests > 30
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.scenarios.runner import (
     ScenarioRunner,
     replication_seed,
     run_replication,
 )
 from repro.scenarios.spec import RatePhase, ScenarioSpec
+from repro.sim.runtime import TopologyRuntime
 
 
 def smoke_spec(**overrides) -> ScenarioSpec:
@@ -177,6 +178,30 @@ class TestPoliciesLive:
         result = run_replication(spec, 0)
         assert result.recommendation is not None
         assert result.recommendation.count(":") == 2
+
+
+class TestConservation:
+    def test_every_replication_checks_conservation(self, monkeypatch):
+        """run_replication audits the runtime once the run is over."""
+        checked = []
+        original = TopologyRuntime.check_conservation
+
+        def spy(runtime):
+            checked.append(runtime.simulator.now)
+            original(runtime)
+
+        monkeypatch.setattr(TopologyRuntime, "check_conservation", spy)
+        spec = smoke_spec(duration=20.0, warmup=5.0)
+        run_replication(spec, 0)
+        assert checked == [20.0]
+
+    def test_violation_fails_the_replication(self, monkeypatch):
+        def violated(runtime):
+            raise SimulationError("conservation violated")
+
+        monkeypatch.setattr(TopologyRuntime, "check_conservation", violated)
+        with pytest.raises(SimulationError, match="conservation"):
+            run_replication(smoke_spec(duration=5.0, warmup=1.0), 0)
 
 
 class TestOverheadKind:
