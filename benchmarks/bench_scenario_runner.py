@@ -1,7 +1,7 @@
-"""Serial vs process-pool replication throughput of the scenario runner.
+"""Serial vs process-pool replication throughput of ``api.run_scenario``.
 
-Runs the same small synthetic-chain scenario with one worker and with
-all cores, printing replications/second and the speedup.  The merged
+Runs the same small synthetic-chain scenario (a one-cell campaign) with
+one worker and with all cores, printing replications/second and the speedup.  The merged
 summaries are asserted byte-identical — parallelism must never change
 results.
 """
@@ -9,7 +9,7 @@ results.
 import os
 import time
 
-from repro.scenarios.runner import ScenarioRunner
+from repro import api
 from repro.scenarios.spec import ScenarioSpec
 from benchmarks.conftest import full_scale
 
@@ -37,11 +37,11 @@ def test_serial_vs_pool_throughput(benchmark):
     spec = scenario(replications)
 
     started = time.perf_counter()
-    serial = ScenarioRunner(max_workers=1).run(spec)
+    serial = api.run_scenario(spec, workers=1)
     serial_s = time.perf_counter() - started
 
     def pooled_run():
-        return ScenarioRunner().run(spec)
+        return api.run_scenario(spec)
 
     pooled = benchmark.pedantic(pooled_run, rounds=1, iterations=1)
     pooled_s = benchmark.stats.stats.mean
@@ -49,7 +49,7 @@ def test_serial_vs_pool_throughput(benchmark):
     assert serial.to_json() == pooled.to_json()
     print()
     print(
-        f"scenario runner: {replications} replications |"
+        f"run_scenario: {replications} replications |"
         f" serial {serial_s:.2f}s ({replications / serial_s:.2f} reps/s) |"
         f" pool {pooled_s:.2f}s ({replications / pooled_s:.2f} reps/s) |"
         f" speedup x{serial_s / pooled_s:.2f}"

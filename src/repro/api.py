@@ -56,7 +56,7 @@ from repro.exceptions import ConfigurationError
 from repro.fidelity.manifest import ToleranceManifest
 from repro.platform import available_failure_models, available_placements
 from repro.scenarios.registry import available_policies
-from repro.scenarios.runner import ScenarioRunner, ScenarioSummary
+from repro.scenarios.runner import ScenarioSummary
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads import (
     available_arrival_models,
@@ -238,16 +238,20 @@ def run_scenario(
 ) -> ScenarioSummary:
     """Execute one scenario and merge its replications.
 
-    ``replications`` overrides the spec's replication count without
-    touching its identity (the scenario content hash ignores the
-    count, so grown runs still reuse stored results).
+    The scenario runs as a one-cell campaign through
+    :class:`~repro.campaigns.runner.CampaignRunner` (no store), so its
+    replications fan out over ``workers`` processes exactly as a
+    campaign's do.  ``replications`` overrides the spec's replication
+    count without touching its identity (the scenario content hash
+    ignores the count, so grown runs still reuse stored results).
     """
     spec = load_scenario(source)
     if replications is not None:
         spec = ScenarioSpec.from_dict(
             {**spec.to_dict(), "replications": replications}
         )
-    return ScenarioRunner(max_workers=workers).run(spec)
+    campaign = CampaignSpec.from_scenario(spec)
+    return CampaignRunner(max_workers=workers).run(campaign).cells[0].summary
 
 
 def plan(

@@ -57,7 +57,6 @@ from repro.campaigns.store import ResultStore
 from repro.exceptions import CampaignCancelled, ConfigurationError
 from repro.scenarios.runner import (
     ReplicationResult,
-    ScenarioRunner,
     ScenarioSummary,
     replication_seed,
     run_replication,
@@ -241,15 +240,19 @@ class _Planned:
     analytic: List[_Job]
     simulated: List[_Job]
 
+    def path(self, spec_hash: str) -> str:
+        """The decided evaluation path of one spec hash."""
+        return _cell_path(self.decisions, spec_hash)
+
 
 class CampaignRunner:
     """Plans and runs campaigns, optionally against a resumable store.
 
-    Without a store every replication is computed fresh — exactly what
-    :class:`~repro.scenarios.runner.ScenarioRunner.run_many` would do
-    for the expanded specs.  With a store, completed replications are
-    loaded instead of recomputed and fresh ones are persisted as they
-    finish.
+    It is the only thing that runs replications: a bare scenario runs
+    as a one-cell campaign (:func:`repro.api.run_scenario`).  Without a
+    store every replication is computed fresh; with one, completed
+    replications are loaded instead of recomputed and fresh ones are
+    persisted as they finish.
 
     ``evaluator`` injects a configured
     :class:`~repro.campaigns.hybrid.AnalyticCellEvaluator` for
@@ -307,7 +310,7 @@ class CampaignRunner:
         analytic_cells = sum(
             1
             for cell in simulation
-            if _cell_path(planned.decisions, cell.spec_hash) == "analytic"
+            if planned.path(cell.spec_hash) == "analytic"
         )
         overhead = len(planned.cells) - len(simulation)
         analytic = len(planned.analytic)
@@ -399,7 +402,11 @@ class CampaignRunner:
         for cell in planned.cells:
             if cell.spec.kind != "simulation":
                 self._check_cancelled(campaign)
-                summary = ScenarioRunner(max_workers=1).run(cell.spec)
+                # Imported lazily: table2 builds its campaign on this
+                # runner.
+                from repro.experiments.table2 import overhead_summary
+
+                summary = overhead_summary(cell.spec)
                 overhead_runs += 1
                 results.append(
                     CampaignCellResult(
@@ -434,7 +441,7 @@ class CampaignRunner:
                     summary=summarize_replications(cell.spec, merged),
                     computed=fresh,
                     reused=reused,
-                    path=_cell_path(planned.decisions, spec_hash),
+                    path=planned.path(spec_hash),
                 )
             )
         return CampaignResult(

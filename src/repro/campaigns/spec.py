@@ -411,6 +411,14 @@ class CampaignSpec:
             evaluation=str(raw.get("evaluation", "simulate")),
         )
 
+    @classmethod
+    def from_scenario(cls, spec: ScenarioSpec) -> "CampaignSpec":
+        """An axis-free campaign whose one cell is ``spec``, name kept —
+        how :func:`repro.api.run_scenario` and the service run a bare
+        scenario through the one campaign runner."""
+        base = spec.to_dict()
+        return cls(name=base.pop("name"), base=base)
+
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 

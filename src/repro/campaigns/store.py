@@ -55,6 +55,26 @@ def record_path(record: Mapping[str, Any]) -> str:
     return str(record.get("path", RECORD_PATHS[0]))
 
 
+def write_json_atomic(path: Path, payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` as sorted-key JSON, atomically: a temp file in
+    the same directory, then ``os.replace`` — readers see the old file
+    or the new one, never a torn one.  Store records and job-queue
+    records both go through here."""
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultStore:
     """Directory-backed store of per-replication results.
 
@@ -192,9 +212,9 @@ class ResultStore:
         bucket.mkdir(parents=True, exist_ok=True)
         spec_path = bucket / "spec.json"
         if not spec_path.exists():
-            self._write_atomic(spec_path, spec.to_dict())
+            write_json_atomic(spec_path, spec.to_dict())
         record_file = self.record_path(spec_hash, seed)
-        self._write_atomic(record_file, record)
+        write_json_atomic(record_file, record)
         return record_file
 
     def _record(
@@ -227,18 +247,3 @@ class ResultStore:
         if provenance is not None:
             record["analytic"] = dict(provenance)
         return record
-
-    def _write_atomic(self, path: Path, payload: Dict[str, Any]) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise

@@ -11,10 +11,10 @@ Each module reproduces one artefact:
 - :mod:`repro.experiments.baselines` — DRS vs baseline allocators
   (extension beyond the paper).
 
-Every driver is now a thin spec builder over the scenario engine
-(:mod:`repro.scenarios`): it constructs declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` objects, hands them to a
-:class:`~repro.scenarios.runner.ScenarioRunner` (replications fan out
+Every driver is a thin campaign builder over the scenario engine
+(:mod:`repro.scenarios`): it declares its grid as a
+:class:`~repro.campaigns.spec.CampaignSpec`, runs it through
+:class:`~repro.campaigns.runner.CampaignRunner` (replications fan out
 over worker processes) and shapes the merged results into its
 paper-figure dataclasses.  The shared convenience layer (passive runs,
 the DRS-to-simulator binding) lives in

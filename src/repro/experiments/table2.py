@@ -9,17 +9,17 @@ measurement processing is flat (0.100 ms) because it depends on the
 task count, not ``Kmax``.
 
 This module reproduces the measurement with wall-clock timing of our
-implementations, expressed as an ``"overhead"``-kind scenario spec the
-scenario runner executes (the timing primitives stay here; the runner
-imports them lazily).  Absolute numbers depend on the host; the
-assertions in the test suite check the *shape* (monotone growth ~linear
-in Kmax, Kmax-independent measurement cost).
+implementations, expressed as an ``"overhead"``-kind scenario spec
+whose timing loop (:func:`overhead_summary`) the campaign runner
+imports lazily.  Absolute numbers depend on the host; the assertions
+in the test suite check the *shape* (monotone growth ~linear in Kmax,
+Kmax-independent measurement cost).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.apps.vld import VLDWorkload
@@ -28,6 +28,7 @@ from repro.campaigns.spec import CampaignSpec
 from repro.config import MeasurementConfig
 from repro.measurement.measurer import Measurer
 from repro.model.performance import PerformanceModel
+from repro.scenarios.runner import ScenarioSummary, summarize_replications
 from repro.scenarios.spec import ScenarioSpec
 from repro.scheduler.assign import assign_processors
 
@@ -100,6 +101,26 @@ def time_measurement(repetitions: int, *, tuples_per_interval: int = 200) -> flo
         clock += 1.0
         measurer.pull(clock)
     return (time.perf_counter() - started) / repetitions * 1000.0
+
+
+def overhead_summary(spec: ScenarioSpec) -> ScenarioSummary:
+    """Time an ``"overhead"``-kind spec: one ``extra`` row per ``Kmax``,
+    no replications (wall-clock timings are never cached)."""
+    params = spec.policy_params
+    kmax_values = [int(k) for k in params.get("kmax_values", KMAX_VALUES)]
+    repetitions = int(params.get("repetitions", 2000))
+    model = reference_model()
+    measurement_ms = time_measurement(repetitions)
+    rows = [
+        {
+            "kmax": kmax,
+            "scheduling_ms": time_scheduling(model, kmax, repetitions),
+            "measurement_ms": measurement_ms,
+        }
+        for kmax in kmax_values
+    ]
+    empty = summarize_replications(spec, ())
+    return replace(empty, extra={"overhead_rows": rows})
 
 
 def spec(

@@ -9,13 +9,16 @@ Three pieces replace the per-figure driver pattern:
   (``"drs.min_sojourn"``, ``"drs.min_resource"``, ``"static.*"``,
   ``"threshold"``, ``"none"``) with :func:`create_policy` /
   :func:`register_policy`;
-- :mod:`repro.scenarios.runner` — :class:`ScenarioRunner`, executing a
-  spec's replications in parallel with deterministic per-replication
-  seeds and merging them into one :class:`ScenarioSummary`.
+- :mod:`repro.scenarios.runner` — :func:`run_replication`, executing
+  one replication with a deterministic per-replication seed, and
+  :func:`summarize_replications`, merging replications into one
+  :class:`ScenarioSummary`.
 
-The figure drivers under :mod:`repro.experiments` are now thin spec
-builders plus result-shaping glue over this engine, and the CLI's
-``run-scenario`` verb executes any spec straight from a JSON file.
+Replications are scheduled by the campaign runner
+(:class:`~repro.campaigns.runner.CampaignRunner`): the figure drivers
+under :mod:`repro.experiments` build campaigns, and the CLI's
+``run-scenario`` verb (:func:`repro.api.run_scenario`) runs any spec
+as a one-cell campaign straight from a JSON file.
 """
 
 from repro.scenarios.binding import (
@@ -40,7 +43,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.runner import (
     AppliedAction,
     ReplicationResult,
-    ScenarioRunner,
     ScenarioSummary,
     replication_seed,
     run_replication,
@@ -56,7 +58,6 @@ __all__ = [
     "PolicyObservation",
     "RatePhase",
     "ReplicationResult",
-    "ScenarioRunner",
     "ScenarioSpec",
     "ScenarioSummary",
     "SchedulingPolicy",

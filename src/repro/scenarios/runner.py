@@ -1,24 +1,25 @@
-"""Execute scenario specs: N replications, N cores, one merged summary.
+"""One replication of a scenario spec, and the merge of many.
 
-:class:`ScenarioRunner` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
-into results.  Each replication is an independent simulation whose seed
-is *derived from the spec's base seed and the replication index*, so the
-result set is identical no matter how many worker processes execute it
-(replication 0 runs the base seed itself, keeping single-replication
-scenarios bit-for-bit compatible with the legacy figure drivers).
-Replications are distributed over a :class:`ProcessPoolExecutor`;
-results are merged in index order, making the summary deterministic —
-the property the determinism regression test pins down.
+:func:`run_replication` executes replication ``index`` of a
+:class:`~repro.scenarios.spec.ScenarioSpec`.  Its seed is *derived from
+the spec's base seed and the replication index*
+(:func:`replication_seed`), so a result set is identical no matter how
+many worker processes execute it (replication 0 runs the base seed
+itself, keeping single-replication scenarios bit-for-bit compatible
+with the legacy figure drivers).  :func:`summarize_replications`
+merges results in index order into one :class:`ScenarioSummary`.
+
+Fanning replications out over processes is the campaign runner's job
+(:class:`~repro.campaigns.runner.CampaignRunner`); a bare scenario runs
+as a one-cell campaign through :func:`repro.api.run_scenario`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.config import (
     ClusterSpec,
@@ -411,19 +412,11 @@ def run_replication(spec: ScenarioSpec, index: int) -> ReplicationResult:
     )
 
 
-def _run_job(job: Tuple[ScenarioSpec, int]) -> ReplicationResult:
-    spec, index = job
-    return run_replication(spec, index)
-
-
 def summarize_replications(
     spec: ScenarioSpec, results: Sequence[ReplicationResult]
 ) -> ScenarioSummary:
-    """Merge replications into a :class:`ScenarioSummary`.
-
-    Module-level (not runner-bound) because campaign runs merge a mix
-    of freshly computed and store-cached replications.
-    """
+    """Merge replications — freshly computed or store-cached, in index
+    order — into a :class:`ScenarioSummary`."""
     means = [r.mean_sojourn for r in results if r.mean_sojourn is not None]
     mean = sum(means) / len(means) if means else None
     if len(means) > 1:
@@ -445,108 +438,3 @@ def summarize_replications(
         total_completed=sum(r.completed_trees for r in results),
         total_rebalances=sum(r.rebalances for r in results),
     )
-
-
-# ----------------------------------------------------------------------
-# the runner
-# ----------------------------------------------------------------------
-class ScenarioRunner:
-    """Executes specs, fanning replications out over worker processes.
-
-    ``max_workers=None`` uses every core; ``max_workers=1`` runs
-    serially in-process (no pool), which is also the fallback when
-    there is only one job to do.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1 when set")
-        self._max_workers = max_workers
-
-    def run(self, spec: ScenarioSpec) -> ScenarioSummary:
-        """Execute one spec and merge its replications."""
-        if spec.kind == "overhead":
-            return self._run_overhead(spec)
-        jobs = [(spec, index) for index in range(spec.replications)]
-        return self._summarize(spec, self._execute(jobs))
-
-    def run_many(self, specs: Sequence[ScenarioSpec]) -> List[ScenarioSummary]:
-        """Execute several specs, sharing one worker pool across all of
-        their replications (a fig6-style panel is six specs; running
-        them jointly keeps every core busy)."""
-        overhead = [s for s in specs if s.kind == "overhead"]
-        if overhead:
-            raise ConfigurationError(
-                "run_many only batches simulation scenarios; run overhead"
-                " specs individually"
-            )
-        jobs: List[Tuple[ScenarioSpec, int]] = []
-        for spec in specs:
-            jobs.extend((spec, index) for index in range(spec.replications))
-        results = self._execute(jobs)
-        summaries: List[ScenarioSummary] = []
-        cursor = 0
-        for spec in specs:
-            chunk = results[cursor : cursor + spec.replications]
-            cursor += spec.replications
-            summaries.append(self._summarize(spec, chunk))
-        return summaries
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _execute(
-        self, jobs: Sequence[Tuple[ScenarioSpec, int]]
-    ) -> List[ReplicationResult]:
-        workers = self._max_workers or os.cpu_count() or 1
-        workers = min(workers, len(jobs))
-        if workers <= 1:
-            return [_run_job(job) for job in jobs]
-        # Chunk the map: with many short replications the per-job IPC
-        # round-trip dominates; chunking amortises it while map() still
-        # returns results in submission order (determinism preserved).
-        chunksize = max(1, len(jobs) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_job, jobs, chunksize=chunksize))
-
-    @staticmethod
-    def _summarize(
-        spec: ScenarioSpec, results: Sequence[ReplicationResult]
-    ) -> ScenarioSummary:
-        return summarize_replications(spec, results)
-
-    def _run_overhead(self, spec: ScenarioSpec) -> ScenarioSummary:
-        # Timing primitives live with the Table-II experiment; imported
-        # lazily because table2 itself builds overhead specs.
-        from repro.experiments import table2
-
-        kmax_values = [
-            int(k)
-            for k in spec.policy_params.get("kmax_values", table2.KMAX_VALUES)
-        ]
-        repetitions = int(spec.policy_params.get("repetitions", 2000))
-        model = table2.reference_model()
-        measurement_ms = table2.time_measurement(repetitions)
-        rows = [
-            {
-                "kmax": kmax,
-                "scheduling_ms": table2.time_scheduling(
-                    model, kmax, repetitions
-                ),
-                "measurement_ms": measurement_ms,
-            }
-            for kmax in kmax_values
-        ]
-        return ScenarioSummary(
-            name=spec.name,
-            policy=spec.policy,
-            replications=(),
-            mean_sojourn=None,
-            std_between=None,
-            min_sojourn=None,
-            max_sojourn=None,
-            total_external=0,
-            total_completed=0,
-            total_rebalances=0,
-            extra={"overhead_rows": rows},
-        )

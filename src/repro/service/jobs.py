@@ -28,17 +28,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import api
-from repro.campaigns.runner import CampaignResult
+from repro.campaigns.hybrid import AnalyticCellEvaluator
+from repro.campaigns.runner import CampaignResult, CampaignRunner
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import ResultStore, record_path
+from repro.campaigns.store import ResultStore, write_json_atomic
 from repro.exceptions import CampaignCancelled, ConfigurationError, DRSError
 from repro.scenarios.runner import replication_seed
 
@@ -92,41 +92,46 @@ def condense_result(result: CampaignResult) -> Dict[str, Any]:
     }
 
 
-def job_progress(campaign: CampaignSpec, store: ResultStore) -> Dict[str, Any]:
+def job_progress(
+    campaign: CampaignSpec,
+    store: ResultStore,
+    evaluator: Optional[AnalyticCellEvaluator] = None,
+) -> Dict[str, Any]:
     """Per-cell completion against the store, split by evaluation path.
 
-    Counts, for every simulation cell, how many of its replications
-    already hold a store record — and whether each record came from the
-    simulator or the analytic fast path — so a poll shows exactly how a
-    hybrid campaign is progressing and what a resume would skip.
+    Read from the campaign planner that ``plan()`` and ``run()`` share:
+    a replication counts as stored exactly when a resume would reuse
+    it, under its cell's decided path.  Pass the job's own
+    ``evaluator`` so hybrid decisions match.  ``analytic`` jobs plan as
+    ``hybrid`` — same decisions, but an uncertifiable cell shows as
+    simulated instead of raising.
     """
+    if campaign.evaluation == "analytic":
+        campaign = replace(campaign, evaluation="hybrid")
+    planned = CampaignRunner(store, evaluator=evaluator)._plan(campaign)
     cells: List[Dict[str, Any]] = []
     total = stored = 0
-    for cell in campaign.expand():
+    for cell in planned.cells:
         if cell.spec.kind != "simulation":
             continue
-        simulated = analytic = 0
-        for index in range(cell.spec.replications):
-            seed = replication_seed(cell.spec.seed, index)
-            record = store.load_record(cell.spec_hash, seed)
-            if record is None:
-                continue
-            if record_path(record) == "analytic":
-                analytic += 1
-            else:
-                simulated += 1
         replications = cell.spec.replications
+        done = sum(
+            (cell.spec_hash, replication_seed(cell.spec.seed, index))
+            in planned.cached
+            for index in range(replications)
+        )
+        analytic = planned.path(cell.spec_hash) == "analytic"
         cells.append(
             {
                 "cell": cell.label,
                 "replications": replications,
-                "simulated": simulated,
-                "analytic": analytic,
-                "missing": replications - simulated - analytic,
+                "simulated": 0 if analytic else done,
+                "analytic": done if analytic else 0,
+                "missing": replications - done,
             }
         )
         total += replications
-        stored += simulated + analytic
+        stored += done
     return {"total": total, "stored": stored, "cells": cells}
 
 
@@ -200,9 +205,9 @@ class JobQueue:
     """Thread-safe, disk-mirrored table of jobs.
 
     Every mutation happens under one lock and is immediately persisted
-    (atomic temp-file + ``os.replace``, the store's own discipline), so
-    the on-disk view is never ahead of or behind the in-memory one by
-    more than a single transition.  On construction, jobs found in
+    by the store's own atomic writer, so the on-disk view is never
+    ahead of or behind the in-memory one by more than a single
+    transition.  On construction, jobs found in
     ``running`` state are demoted to ``queued``: they belong to a
     server that died mid-run, and their completed replications are
     already in the result store.
@@ -235,20 +240,7 @@ class JobQueue:
             self._jobs[job.id] = job
 
     def _persist(self, job: JobRecord) -> None:
-        path = self._root / f"{job.id}.json"
-        fd, tmp = tempfile.mkstemp(
-            dir=self._root, prefix=f".{job.id}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(job.to_dict(), handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(self._root / f"{job.id}.json", job.to_dict())
 
     # ------------------------------------------------------------------
     # submission & lookup

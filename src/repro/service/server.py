@@ -57,6 +57,11 @@ JOBS_DIR = "jobs"
 #: Default TCP port (no meaning beyond "unassigned and memorable").
 DEFAULT_PORT = 8151
 
+#: Largest request body the service reads.  A submission is one spec
+#: (kilobytes); a larger ``Content-Length`` is refused with 413 before
+#: any of the body is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -94,22 +99,20 @@ def campaign_from_submission(raw: Any) -> Tuple[CampaignSpec, Optional[int]]:
     if "campaign" in raw:
         return api.load_campaign(raw["campaign"]), workers
     if "scenario" in raw:
-        return _wrap_scenario(raw["scenario"]), workers
+        scenario = api.load_scenario(raw["scenario"])
+        return CampaignSpec.from_scenario(scenario), workers
     if "base" in raw:
         return api.load_campaign(raw), workers
     if "workload" in raw:
-        return _wrap_scenario(raw), workers
+        return CampaignSpec.from_scenario(api.load_scenario(raw)), workers
     raise DRSError(
         "submission must be a CampaignSpec object, a ScenarioSpec object,"
         " or an envelope with a 'campaign' or 'scenario' key"
     )
 
 
-def _wrap_scenario(raw: Any) -> CampaignSpec:
-    spec = api.load_scenario(raw)  # validates before wrapping
-    base = spec.to_dict()
-    name = base.pop("name")
-    return CampaignSpec(name=name, base=base)
+class _BodyTooLarge(DRSError):
+    """A request announced a body above :data:`MAX_BODY_BYTES` (413)."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -154,6 +157,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise DRSError(
                 f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body is never read
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length) if length else b""
         if not raw:
@@ -204,6 +213,8 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["jobs"]:
             try:
                 campaign, workers = campaign_from_submission(self._read_body())
+            except _BodyTooLarge as exc:
+                return self._error(413, str(exc))
             except DRSError as exc:
                 return self._error(400, str(exc))
             job, enqueued = self.service.submit(campaign, workers=workers)
@@ -366,11 +377,21 @@ class CampaignService:
     def _store(self):
         return api.open_store(Path(self.config.store))
 
+    def _progress(self, campaign: CampaignSpec, store) -> Dict[str, Any]:
+        """Planner-derived progress, decided with the executor's
+        manifest and safety margin."""
+        evaluator = api.campaign_evaluator(
+            campaign.evaluation,
+            manifest=self.config.manifest,
+            safety_margin=self.config.safety_margin,
+        )
+        return job_progress(campaign, store, evaluator)
+
     def job_status(self, job: JobRecord) -> Dict[str, Any]:
         """The job record plus live per-cell, per-path progress."""
         payload = job.to_dict()
         campaign = CampaignSpec.from_dict(job.campaign)
-        payload["progress"] = job_progress(campaign, self._store())
+        payload["progress"] = self._progress(campaign, self._store())
         return payload
 
     def job_aggregates(self, job: JobRecord) -> Dict[str, Any]:
@@ -385,6 +406,6 @@ class CampaignService:
         return {
             "job": job.id,
             "state": job.state,
-            "progress": job_progress(campaign, store),
+            "progress": self._progress(campaign, store),
             "aggregate": api.aggregate(campaign, store).to_dict(),
         }

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from repro import api
 from repro.campaigns.aggregate import CellAggregate, aggregate_from_store
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import (
@@ -19,7 +20,6 @@ from repro.exceptions import ConfigurationError
 from repro.scenarios.runner import (
     AppliedAction,
     ReplicationResult,
-    ScenarioRunner,
     replication_seed,
 )
 from repro.scenarios.spec import ScenarioSpec
@@ -343,9 +343,7 @@ class TestCampaignRunner:
         campaign = small_campaign()
         cells = campaign.expand()
         via_campaign = CampaignRunner(max_workers=1).run(campaign)
-        via_scenarios = ScenarioRunner(max_workers=1).run_many(
-            [c.spec for c in cells]
-        )
+        via_scenarios = [api.run_scenario(c.spec, workers=1) for c in cells]
         assert [s.to_json() for s in via_campaign.summaries] == [
             s.to_json() for s in via_scenarios
         ]

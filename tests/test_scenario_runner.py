@@ -1,13 +1,14 @@
-"""Tests for the scenario runner: determinism, merging, policies live."""
+"""Tests for scenario runs: determinism, merging, policies live.
+
+Whole scenarios run through :func:`repro.api.run_scenario` (a one-cell
+campaign); single replications through :func:`run_replication`.
+"""
 
 import pytest
 
+from repro import api
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.scenarios.runner import (
-    ScenarioRunner,
-    replication_seed,
-    run_replication,
-)
+from repro.scenarios.runner import replication_seed, run_replication
 from repro.scenarios.spec import RatePhase, ScenarioSpec
 from repro.sim.runtime import TopologyRuntime
 
@@ -54,27 +55,20 @@ class TestDeterminism:
         """The satellite regression: 1 worker and 4 workers produce
         byte-identical merged summaries."""
         spec = smoke_spec()
-        serial = ScenarioRunner(max_workers=1).run(spec)
-        pooled = ScenarioRunner(max_workers=4).run(spec)
+        serial = api.run_scenario(spec, workers=1)
+        pooled = api.run_scenario(spec, workers=4)
         assert serial.to_json(indent=2) == pooled.to_json(indent=2)
 
     def test_rerun_is_identical(self):
         spec = smoke_spec(replications=2)
-        runner = ScenarioRunner(max_workers=2)
-        assert runner.run(spec).to_json() == runner.run(spec).to_json()
-
-    def test_run_many_matches_individual_runs(self):
-        specs = [smoke_spec(), smoke_spec(name="runner-smoke-2", seed=23)]
-        runner = ScenarioRunner(max_workers=4)
-        joint = runner.run_many(specs)
-        solo = [ScenarioRunner(max_workers=1).run(s) for s in specs]
-        assert [s.to_json() for s in joint] == [s.to_json() for s in solo]
+        first = api.run_scenario(spec, workers=2)
+        assert first.to_json() == api.run_scenario(spec, workers=2).to_json()
 
 
 class TestMerging:
     @pytest.fixture(scope="class")
     def summary(self):
-        return ScenarioRunner(max_workers=2).run(smoke_spec())
+        return api.run_scenario(smoke_spec(), workers=2)
 
     def test_replications_in_index_order(self, summary):
         assert [r.index for r in summary.replications] == [0, 1, 2]
@@ -158,9 +152,8 @@ class TestPoliciesLive:
             duration=120.0,
             rate_phases=(RatePhase(start=60.0, rate_multiplier=3.0),),
         )
-        runner = ScenarioRunner(max_workers=1)
-        base = runner.run(calm).replications[0]
-        surge = runner.run(surged).replications[0]
+        base = api.run_scenario(calm, workers=1).replications[0]
+        surge = api.run_scenario(surged, workers=1).replications[0]
         assert surge.external_tuples > base.external_tuples * 1.5
 
     def test_recommendation_recorded(self):
@@ -208,24 +201,19 @@ class TestOverheadKind:
     def test_table2_spec_runs_through_runner(self):
         from repro.experiments import table2
 
-        summary = ScenarioRunner(max_workers=1).run(
-            table2.spec(kmax_values=[12, 48], repetitions=20)
+        summary = api.run_scenario(
+            table2.spec(kmax_values=[12, 48], repetitions=20), workers=1
         )
+        assert (summary.name, summary.replications) == ("table2", ())
         rows = summary.extra["overhead_rows"]
         assert [r["kmax"] for r in rows] == [12, 48]
         assert all(r["scheduling_ms"] > 0 for r in rows)
 
-    def test_run_many_rejects_overhead(self):
-        from repro.experiments import table2
-
-        with pytest.raises(ConfigurationError, match="overhead"):
-            ScenarioRunner().run_many([table2.spec()])
-
 
 class TestRunnerValidation:
     def test_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioRunner(max_workers=0)
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            api.run_scenario(smoke_spec(), workers=0)
 
     def test_overhead_replication_rejected(self):
         from repro.experiments import table2

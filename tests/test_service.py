@@ -13,6 +13,7 @@ Three layers, three contracts:
   validation errors come back as 400s, unknown jobs as 404s.
 """
 
+import dataclasses
 import json
 import socket
 import threading
@@ -25,6 +26,7 @@ from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.exceptions import CampaignCancelled, ConfigurationError, DRSError
+from repro.scenarios.runner import replication_seed, run_replication
 from repro.service import (
     CampaignService,
     JobExecutor,
@@ -313,6 +315,95 @@ class TestCancellation:
         assert progress["stored"] == 0
 
 
+def _gut_record(store, spec_hash, seed):
+    """Shape-corrupt one stored record: it loads, but no longer
+    rehydrates into a ReplicationResult."""
+    path = store.record_path(spec_hash, seed)
+    record = json.loads(path.read_text())
+    record["result"] = {"index": 0}
+    path.write_text(json.dumps(record))
+
+
+class TestProgress:
+    """``job_progress`` reads the campaign planner, so "stored" means
+    exactly what a resume would reuse."""
+
+    def test_unusable_records_are_missing(self, tmp_path):
+        """A simulate job must not count an analytic-path record or a
+        shape-corrupted one as stored: the run recomputes both."""
+        campaign = CampaignSpec.from_dict(
+            {"name": "progress", "base": dict(BASE, duration=5.0, warmup=1.0)}
+        )
+        cell = campaign.expand()[0]
+        seeds = [replication_seed(cell.spec.seed, i) for i in range(2)]
+        store = ResultStore(tmp_path)
+        for index, seed in enumerate(seeds):
+            store.put(
+                cell.spec,
+                cell.spec_hash,
+                seed,
+                run_replication(cell.spec, index),
+                path="analytic" if index == 0 else "simulated",
+            )
+        _gut_record(store, cell.spec_hash, seeds[1])
+
+        progress = job_progress(campaign, store)
+        plan = api.plan(campaign, store=store)
+        assert plan.to_compute == 2
+        assert progress["stored"] == plan.cached == 0
+        assert progress["cells"] == [
+            {
+                "cell": "progress",
+                "replications": 2,
+                "simulated": 0,
+                "analytic": 0,
+                "missing": 2,
+            }
+        ]
+        assert api.run_campaign(campaign, store=store).computed == 2
+
+    def test_counts_split_by_decided_path(self, tmp_path):
+        from repro.campaigns.hybrid import AnalyticCellEvaluator
+        from repro.fidelity.cases import build_case, fidelity_campaign
+
+        cases = [
+            build_case("single", 0.7, 1, 1.0, "shared", None,
+                       replications=2, target_tuples=200),
+            build_case("loop", 0.5, 1, 1.0, "shared", None,
+                       replications=2, target_tuples=200),
+        ]
+        campaign = dataclasses.replace(
+            fidelity_campaign("progress", cases=cases), evaluation="hybrid"
+        )
+        evaluator = AnalyticCellEvaluator.default()
+        store = ResultStore(tmp_path)
+        before = job_progress(campaign, store, evaluator)
+        assert (before["total"], before["stored"]) == (4, 0)
+        api.run_campaign(campaign, store=store, evaluator=evaluator)
+
+        progress = job_progress(campaign, store, evaluator)
+        plan = api.plan(campaign, store=store, evaluator=evaluator)
+        assert progress["stored"] == plan.cached == 4
+        assert [(c["analytic"], c["simulated"]) for c in progress["cells"]] == [
+            (2, 0),
+            (0, 2),
+        ]
+
+    def test_analytic_job_with_uncertifiable_cell_reports_progress(
+        self, service
+    ):
+        """An ``analytic`` job whose cell the envelope rejects fails to
+        run, yet its status still answers with progress."""
+        client = ServiceClient(service.url)
+        raw = dict(campaign_dict("analytic-cmp"), evaluation="analytic")
+        final = client.wait(client.submit(campaign=raw)["id"], timeout=60)
+        assert final["state"] == "failed"
+        assert "cannot be answered analytically" in final["error"]
+        progress = final["progress"]
+        assert (progress["total"], progress["stored"]) == (4, 0)
+        assert all(c["missing"] == 2 for c in progress["cells"])
+
+
 def _raw_post_jobs(service, content_length: str):
     """POST /jobs with a verbatim Content-Length header over a bare
     socket; returns ``(status, json_body)``.  The socket timeout turns
@@ -444,3 +535,11 @@ class TestHTTPSurface:
         status, body = _raw_post_jobs(service, content_length)
         assert status == 400
         assert "Content-Length" in body["error"]
+
+    def test_huge_content_length_is_413(self, service):
+        """A body above the cap is refused before any of it is read,
+        and the server keeps serving."""
+        status, body = _raw_post_jobs(service, "100000000000")
+        assert status == 413
+        assert "exceeds" in body["error"]
+        assert ServiceClient(service.url).health()["status"] == "ok"
