@@ -155,8 +155,8 @@ def open_store(
     a ``segments/`` directory and get the segment-aware reader;
     everything else gets the classic per-file store.  ``segment`` names
     this writer's NDJSON segment when the layout is segmented —
-    concurrent writers (service jobs, shard workers) must each pass a
-    distinct name.  ``require=True`` raises :class:`StoreNotFoundError`
+    concurrent writer processes (a ``repro serve``, shard workers) must
+    each pass a distinct name.  ``require=True`` raises :class:`StoreNotFoundError`
     instead of creating a missing directory — the contract of read-only
     callers like ``repro campaign-report``.
     """

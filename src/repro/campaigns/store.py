@@ -55,6 +55,29 @@ def record_path(record: Mapping[str, Any]) -> str:
     return str(record.get("path", RECORD_PATHS[0]))
 
 
+def parse_record(raw: bytes) -> Optional[Dict[str, Any]]:
+    """Decode one stored record, or ``None`` when it is unusable: torn,
+    not a JSON object, another :data:`RECORD_VERSION`, or carrying no
+    ``result``.  Both store layouts read records through here.
+
+    >>> parse_record(b'{"version": 1, "result": null}')
+    {'version': 1, 'result': None}
+    >>> parse_record(b'{"version": 1, "res') is None      # torn write
+    True
+    """
+    try:
+        record = json.loads(raw)
+    except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+        return None
+    if (
+        not isinstance(record, dict)
+        or record.get("version") != RECORD_VERSION
+        or "result" not in record
+    ):
+        return None
+    return record
+
+
 def write_json_atomic(path: Path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` as sorted-key JSON, atomically: a temp file in
     the same directory, then ``os.replace`` — readers see the old file
@@ -141,18 +164,11 @@ class ResultStore:
         self, spec_hash: str, seed: int
     ) -> Optional[Dict[str, Any]]:
         """The raw record mapping (metrics only — no re-hydration)."""
-        path = self.record_path(spec_hash, seed)
         try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            raw = self.record_path(spec_hash, seed).read_bytes()
+        except OSError:
             return None
-        if (
-            not isinstance(record, dict)
-            or record.get("version") != RECORD_VERSION
-            or "result" not in record
-        ):
-            return None
-        return record
+        return parse_record(raw)
 
     def iter_records(
         self, spec_hash: str

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import api
 from repro.campaigns.hybrid import AnalyticCellEvaluator
 from repro.campaigns.runner import CampaignResult, CampaignRunner
+from repro.campaigns.segstore import SEGMENT_DIR, SegmentedResultStore
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore, write_json_atomic
 from repro.exceptions import CampaignCancelled, ConfigurationError, DRSError
@@ -375,8 +376,10 @@ class JobExecutor:
     replications additionally fan out over ``campaign_workers``
     processes (``None`` = all cores) via the campaign runner.  All
     execution goes through :func:`repro.api.run_campaign` — the same
-    call the CLI makes — against one shared store root, so concurrent
-    tenants automatically share results through content addressing.
+    call the CLI makes — against one store opened for the executor's
+    lifetime (:meth:`store`), so concurrent tenants automatically share
+    results through content addressing.  On a segmented root every job
+    appends to the one writer segment ``serve-<pid>``.
     """
 
     def __init__(
@@ -395,6 +398,9 @@ class JobExecutor:
             )
         self._queue = queue
         self._store_root = Path(store_root)
+        self._segment = f"serve-{os.getpid()}"
+        self._store_lock = threading.Lock()
+        self._store = api.open_store(self._store_root, segment=self._segment)
         self._campaign_workers = campaign_workers
         self._manifest = manifest
         self._safety_margin = safety_margin
@@ -410,6 +416,28 @@ class JobExecutor:
     def start(self) -> None:
         for thread in self._threads:
             thread.start()
+
+    def store(self) -> ResultStore:
+        """The one store every job and view of this executor shares,
+        caught up with all writers' appends.
+
+        A segmented store is refreshed, which reads only the bytes
+        appended since the last call.  A classic root is re-checked for
+        a ``segments/`` directory, so a ``repro store-compact`` run
+        under a live server is picked up.
+        """
+        store = self._store
+        if isinstance(store, SegmentedResultStore):
+            store.refresh()
+            return store
+        if not (self._store_root / SEGMENT_DIR).is_dir():
+            return store
+        with self._store_lock:
+            if not isinstance(self._store, SegmentedResultStore):
+                self._store = api.open_store(
+                    self._store_root, segment=self._segment
+                )
+            return self._store
 
     def notify(self) -> None:
         """Wake idle workers (called after every submission)."""
@@ -428,6 +456,8 @@ class JobExecutor:
         self._wake.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
+        if isinstance(self._store, SegmentedResultStore):
+            self._store.close()
 
     # ------------------------------------------------------------------
     # worker loop
@@ -444,12 +474,9 @@ class JobExecutor:
     def _run(self, job: JobRecord) -> None:
         try:
             campaign = CampaignSpec.from_dict(job.campaign)
-            store = api.open_store(
-                self._store_root, segment=f"job-{job.id[:12]}"
-            )
             result = api.run_campaign(
                 campaign,
-                store=store,
+                store=self.store(),
                 workers=job.workers or self._campaign_workers,
                 manifest=self._manifest,
                 safety_margin=self._safety_margin,

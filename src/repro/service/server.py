@@ -62,6 +62,12 @@ DEFAULT_PORT = 8151
 #: any of the body is read.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a connection may stall mid-request (or idle between
+#: requests) before the service gives up on it.  A client that stops
+#: sending its announced body gets a 408; a stalled request line or
+#: header, or an idle keep-alive connection, is closed.
+READ_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -115,11 +121,17 @@ class _BodyTooLarge(DRSError):
     """A request announced a body above :data:`MAX_BODY_BYTES` (413)."""
 
 
+class _BodyTimeout(DRSError):
+    """A request's body stalled past :data:`READ_TIMEOUT_S` (408)."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto the owning :class:`CampaignService`."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    #: Socket timeout of every connection (``socketserver`` applies it).
+    timeout = READ_TIMEOUT_S
 
     # The default handler logs every request to stderr; the service
     # keeps quiet unless asked (config lives on the server object).
@@ -164,7 +176,13 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the"
                 f" {MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True  # the rest of the body may follow
+            raise _BodyTimeout(
+                f"request body not received within {self.timeout:g} s"
+            ) from None
         if not raw:
             raise DRSError("request body is empty")
         try:
@@ -215,6 +233,8 @@ class _Handler(BaseHTTPRequestHandler):
                 campaign, workers = campaign_from_submission(self._read_body())
             except _BodyTooLarge as exc:
                 return self._error(413, str(exc))
+            except _BodyTimeout as exc:
+                return self._error(408, str(exc))
             except DRSError as exc:
                 return self._error(400, str(exc))
             job, enqueued = self.service.submit(campaign, workers=workers)
@@ -274,7 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
                     break
                 time.sleep(self.service.config.poll_interval)
             self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
             self.close_connection = True
 
 
@@ -374,9 +394,6 @@ class CampaignService:
             self.executor.notify()
         return job, enqueued
 
-    def _store(self):
-        return api.open_store(Path(self.config.store))
-
     def _progress(self, campaign: CampaignSpec, store) -> Dict[str, Any]:
         """Planner-derived progress, decided with the executor's
         manifest and safety margin."""
@@ -391,18 +408,18 @@ class CampaignService:
         """The job record plus live per-cell, per-path progress."""
         payload = job.to_dict()
         campaign = CampaignSpec.from_dict(job.campaign)
-        payload["progress"] = self._progress(campaign, self._store())
+        payload["progress"] = self._progress(campaign, self.executor.store())
         return payload
 
     def job_aggregates(self, job: JobRecord) -> Dict[str, Any]:
         """Incremental mean/CI/p95 aggregates from the shared store."""
         campaign = CampaignSpec.from_dict(job.campaign)
-        return api.aggregate(campaign, self._store()).to_dict()
+        return api.aggregate(campaign, self.executor.store()).to_dict()
 
     def job_snapshot(self, job: JobRecord) -> Dict[str, Any]:
         """One stream line: state + progress + current aggregates."""
         campaign = CampaignSpec.from_dict(job.campaign)
-        store = self._store()
+        store = self.executor.store()
         return {
             "job": job.id,
             "state": job.state,

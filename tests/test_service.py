@@ -15,6 +15,7 @@ Three layers, three contracts:
 
 import dataclasses
 import json
+import os
 import socket
 import threading
 import time
@@ -23,6 +24,7 @@ import pytest
 
 from repro import api
 from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.segstore import SegmentedResultStore, compact_store
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.exceptions import CampaignCancelled, ConfigurationError, DRSError
@@ -39,6 +41,7 @@ from repro.service import (
     job_id_for,
     job_progress,
 )
+from repro.service.server import _Handler
 
 BASE = {
     "workload": "synthetic",
@@ -70,23 +73,37 @@ def spec(name="svc-cmp", **kwargs):
     return CampaignSpec.from_dict(campaign_dict(name, **kwargs))
 
 
-@pytest.fixture
-def service(tmp_path):
-    """A running service on an ephemeral port, shut down afterwards."""
+def start_service(store, job_workers=1):
+    """A running service on an ephemeral port (caller shuts it down)."""
     svc = CampaignService(
         ServiceConfig(
-            store=tmp_path / "store",
+            store=store,
             port=0,
-            job_workers=1,
+            job_workers=job_workers,
             campaign_workers=1,
             poll_interval=0.02,
         )
     )
     svc.start()
+    return svc
+
+
+@pytest.fixture
+def service(tmp_path):
+    """A running service on an ephemeral port, shut down afterwards."""
+    svc = start_service(tmp_path / "store")
     try:
         yield svc
     finally:
         svc.shutdown()
+
+
+@pytest.fixture
+def segmented_root(tmp_path):
+    """A store root in the segmented layout (``segments/`` exists)."""
+    root = tmp_path / "store"
+    (root / "segments").mkdir(parents=True)
+    return root
 
 
 class TestJobIds:
@@ -543,3 +560,81 @@ class TestHTTPSurface:
         assert status == 413
         assert "exceeds" in body["error"]
         assert ServiceClient(service.url).health()["status"] == "ok"
+
+
+    def test_stalled_body_times_out_with_408(self, service, monkeypatch):
+        """A client that announces a body and stalls gets a 408 once the
+        read timeout passes, and the server keeps serving."""
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        status, body = _raw_post_jobs(service, "100")
+        assert status == 408
+        assert "not received" in body["error"]
+        assert ServiceClient(service.url).health()["status"] == "ok"
+
+
+class TestServiceStore:
+    """``repro serve`` holds one store for its lifetime and refreshes
+    it per request instead of reopening it."""
+
+    def test_reuses_records_another_writer_stored_later(self, segmented_root):
+        svc = start_service(segmented_root)
+        try:
+            raw = campaign_dict("other-writer")
+            # A second process's writer, after the server opened its store.
+            api.run_campaign(raw, store=segmented_root, workers=1)
+            client = ServiceClient(svc.url)
+            progress = svc.job_status(
+                JobRecord(id="probe", campaign=raw)
+            )["progress"]
+            assert progress["stored"] == progress["total"] == 4
+            final = client.wait(client.submit(campaign=raw)["id"], timeout=120)
+        finally:
+            svc.shutdown()
+        assert final["state"] == "done"
+        assert final["result"]["computed"] == 0
+        assert final["result"]["reused"] == 4
+        assert final["progress"]["stored"] == 4
+        segments = sorted(p.name for p in (segmented_root / "segments").iterdir())
+        assert segments == ["main.ndjson"]  # the service wrote nothing
+
+    def test_concurrent_jobs_append_whole_lines_to_one_segment(
+        self, segmented_root
+    ):
+        svc = start_service(segmented_root, job_workers=2)
+        try:
+            client = ServiceClient(svc.url)
+            ids = [
+                client.submit(campaign=campaign_dict(name, duration=duration))[
+                    "id"
+                ]
+                for name, duration in (("a", 40.0), ("b", 41.0))
+            ]
+            finals = [client.wait(job_id, timeout=120) for job_id in ids]
+        finally:
+            svc.shutdown()
+        assert [f["result"]["computed"] for f in finals] == [4, 4]
+        segment = segmented_root / "segments" / f"serve-{os.getpid()}.ndjson"
+        assert sorted((segmented_root / "segments").iterdir()) == [segment]
+        text = segment.read_text()
+        assert text.endswith("\n")
+        lines = [json.loads(line) for line in text.splitlines()]
+        kinds = [line.get("kind", "record") for line in lines]
+        assert kinds.count("record") == 8 and kinds.count("spec") == 4
+
+    def test_compacting_a_classic_root_under_a_live_server(self, tmp_path):
+        root = tmp_path / "store"
+        svc = start_service(root)
+        try:
+            client = ServiceClient(svc.url)
+            raw = campaign_dict("compact-live")
+            first = client.wait(client.submit(campaign=raw)["id"], timeout=120)
+            assert first["result"]["computed"] == 4
+            assert type(svc.executor.store()) is ResultStore
+            assert compact_store(root)["migrated"] == 4
+            assert isinstance(svc.executor.store(), SegmentedResultStore)
+            aggregate = client.aggregates(first["id"])
+            assert all(c["missing"] == 0 for c in aggregate["cells"])
+            again = client.wait(client.submit(campaign=raw)["id"], timeout=120)
+        finally:
+            svc.shutdown()
+        assert again["result"]["computed"] == 0

@@ -152,6 +152,236 @@ class TestSegmentedStore:
         assert specs[0]["spec"] == spec.to_dict()
 
 
+def _eager_index(root):
+    """What a full decode of every segment yields: each key's last
+    record, scanning segments in name order (the lazy index's rule)."""
+    index = {}
+    for path in sorted((root / "segments").glob("*.ndjson")):
+        for line in path.read_text().splitlines():
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if record.get("kind") != "spec":
+                index[(record["spec_hash"], record["seed"])] = record
+    return index
+
+
+class TestSegmentIndex:
+    """The index holds (segment, offset, length); bodies load lazily
+    and ``refresh()`` reads only appended bytes."""
+
+    def test_lazy_index_equals_eager_decode(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        w0 = SegmentedResultStore(tmp_path, segment="w0")
+        w1 = SegmentedResultStore(tmp_path, segment="w1")
+        for seed in (1, 2, 3, 4):
+            w0.put(spec, digest, seed, make_result(seed=seed), cell="w0")
+        for seed in (3, 4, 5, 6):
+            w1.put(spec, digest, seed, make_result(seed=seed), cell="w1")
+        w0.put(spec, digest, 1, make_result(seed=1, mean=3.0), cell="again")
+        # A hand-edited line of another shape is decoded while indexing.
+        hand = dict(w0.load_record(digest, 2), seed=9, cell="hand")
+        with open(w1.segment_path, "a") as handle:
+            handle.write(json.dumps(hand, separators=(",", ":")) + "\n")
+        eager = _eager_index(tmp_path)
+        for store in (SegmentedResultStore(tmp_path, segment="r"), w0, w1):
+            store.refresh()
+            assert store.segment_record_count() == len(eager) == 7
+            for (spec_hash, seed), record in eager.items():
+                assert store.load_record(spec_hash, seed) == record
+        assert eager[(digest, 1)]["cell"] == "again"  # later line wins
+        assert eager[(digest, 3)]["cell"] == "w1"
+
+    def test_index_keeps_locations_not_records(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        SegmentedResultStore(tmp_path, segment="w0").put(
+            spec, digest, 5, make_result(seed=5)
+        )
+        store = SegmentedResultStore(tmp_path, segment="r")
+        (location,) = store._index.values()
+        path, offset, length = location
+        line = path.read_bytes()[offset : offset + length]
+        assert json.loads(line) == store.load_record(digest, 5)
+
+    def test_refresh_picks_up_another_writers_appends(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        writer = SegmentedResultStore(tmp_path, segment="w0")
+        reader = SegmentedResultStore(tmp_path, segment="r")
+        for seed in (5, 6):
+            writer.put(spec, digest, seed, make_result(seed=seed))
+            assert reader.load_record(digest, seed) is None
+            assert reader.refresh() == seed - 4
+            assert reader.load(digest, seed) == make_result(seed=seed)
+
+    def test_torn_tail_indexed_once_completed(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        writer = SegmentedResultStore(tmp_path, segment="w0")
+        writer.put(spec, digest, 5, make_result(seed=5))
+        writer.close()
+        record = writer.load_record(digest, 5)
+        line = json.dumps(dict(record, seed=6), sort_keys=True) + "\n"
+        reader = SegmentedResultStore(tmp_path, segment="r")
+        with open(writer.segment_path, "a") as handle:
+            handle.write(line[:40])
+        assert reader.refresh() == 1
+        assert reader.load_record(digest, 6) is None  # torn: not indexed
+        with open(writer.segment_path, "a") as handle:
+            handle.write(line[40:])
+        assert reader.refresh() == 2
+        assert reader.load_record(digest, 6)["seed"] == 6
+
+    def test_truncated_segment_rebuilds(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        writer = SegmentedResultStore(tmp_path, segment="w0")
+        writer.put(spec, digest, 5, make_result(seed=5))
+        writer.close()
+        keep = writer.segment_path.stat().st_size
+        writer.put(spec, digest, 6, make_result(seed=6))
+        writer.close()
+        reader = SegmentedResultStore(tmp_path, segment="r")
+        assert reader.segment_record_count() == 2
+        with open(writer.segment_path, "r+b") as handle:
+            handle.truncate(keep)
+        assert reader.refresh() == 1
+        assert reader.load_record(digest, 6) is None
+        assert reader.load(digest, 5) == make_result(seed=5)
+
+    def test_corrupt_body_with_valid_tail_is_recomputed(self, tmp_path):
+        campaign = small_campaign()
+        CampaignRunner(
+            SegmentedResultStore(tmp_path), max_workers=1
+        ).run(campaign)
+        segment = tmp_path / "segments" / "main.ndjson"
+        lines = segment.read_text().splitlines(keepends=True)
+        victim = next(
+            i for i, line in enumerate(lines) if '"kind": "spec"' not in line
+        )
+        key = json.loads(lines[victim])
+        lines[victim] = lines[victim].replace('"result": {', '"result": {{', 1)
+        segment.write_text("".join(lines))
+        store = SegmentedResultStore(tmp_path, segment="r")
+        assert store.segment_record_count() == 4  # the tail still parses
+        assert store.load_record(key["spec_hash"], key["seed"]) is None
+        runner = CampaignRunner(store, max_workers=1)
+        assert runner.plan(campaign).to_compute == 1
+        assert runner.run(campaign).computed == 1
+
+    def test_record_after_torn_line_is_not_lost(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        store = SegmentedResultStore(tmp_path, segment="main")
+        store.put(spec, digest, 5, make_result(seed=5))
+        store.close()
+        with open(store.segment_path, "a") as handle:
+            handle.write('{"version": 1, "spec_hash": "' + digest)  # torn
+        again = SegmentedResultStore(tmp_path, segment="main")
+        again.put(spec, digest, 6, make_result(seed=6))
+        again.close()
+        fresh = SegmentedResultStore(tmp_path, segment="r")
+        assert fresh.load(digest, 6) == make_result(seed=6)
+        assert fresh.load(digest, 5) == make_result(seed=5)
+
+    def test_own_appends_bytes_match_json_dumps(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        store = SegmentedResultStore(tmp_path, segment="w0")
+        store.put(spec, digest, 5, make_result(seed=5), campaign="c")
+        store.close()
+        spec_line, record_line = store.segment_path.read_bytes().splitlines()
+        record = store.load_record(digest, 5)
+        assert record_line == json.dumps(record, sort_keys=True).encode()
+        assert json.loads(spec_line)["spec"] == spec.to_dict()
+
+    def test_classic_path_probed_only_when_buckets_exist(
+        self, tmp_path, monkeypatch
+    ):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        store = SegmentedResultStore(tmp_path)
+        probes = []
+        classic_load = ResultStore.load_record
+
+        def spy(self, spec_hash, seed):
+            probes.append(seed)
+            return classic_load(self, spec_hash, seed)
+
+        monkeypatch.setattr(ResultStore, "load_record", spy)
+        assert store.load_record(digest, 7) is None
+        assert probes == []  # no classic bucket: no filesystem probe
+        ResultStore(tmp_path).put(spec, digest, 7, make_result(seed=7))
+        store.refresh()
+        assert store.load(digest, 7) == make_result(seed=7)
+        assert probes == [7]
+
+    def test_threads_share_one_store(self, tmp_path):
+        """Writers and refreshing readers on one instance: every put
+        lands as one whole line and stays loadable (a lost cursor or
+        index update would drop or duplicate keys)."""
+        import sys
+
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        store = SegmentedResultStore(tmp_path, segment="shared")
+        errors = []
+
+        def write(first):
+            for seed in range(first, first + 40):
+                store.put(spec, digest, seed, make_result(seed=seed))
+                if store.load_record(digest, seed) is None:
+                    errors.append(seed)
+
+        def read():
+            for _ in range(100):
+                store.refresh()
+                store.count(digest)
+
+        threads = [
+            threading.Thread(target=write, args=(100 * i,)) for i in range(6)
+        ] + [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.refresh() == store.count(digest) == 240
+        lines = store.segment_path.read_text().splitlines()
+        assert len(lines) == 241  # one spec line, 240 records
+        assert all(json.loads(line) for line in lines)
+        assert SegmentedResultStore(tmp_path, segment="r").count(digest) == 240
+
+    def test_dropped_store_leaks_no_descriptor(self, tmp_path):
+        import gc
+        import os
+
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd")
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        gc.collect()
+        before = len(os.listdir(fd_dir))
+        store = SegmentedResultStore(tmp_path, segment="w0")
+        store.put(spec, digest, 5, make_result(seed=5))
+        assert store.load(digest, 5) is not None
+        store.refresh()
+        assert len(os.listdir(fd_dir)) > before  # the append descriptor
+        del store
+        gc.collect()
+        assert len(os.listdir(fd_dir)) == before
+
+
 class TestCompactStore:
     def test_compact_migrates_and_removes(self, tmp_path):
         spec = sample_spec()
