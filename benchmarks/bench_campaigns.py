@@ -14,6 +14,7 @@ from repro.campaigns.segstore import SegmentedResultStore, compact_store
 from repro.campaigns.spec import CampaignSpec, scenario_hash
 from repro.campaigns.store import ResultStore
 from repro.scenarios.runner import ReplicationResult, replication_seed
+from benchmarks.conftest import timed_pedantic
 
 BASE = {
     "workload": "synthetic",
@@ -80,12 +81,12 @@ def test_expansion_and_hash_throughput(benchmark):
     def expand_and_hash():
         return [cell.spec_hash for cell in campaign.expand()]
 
-    hashes = benchmark.pedantic(expand_and_hash, rounds=3, iterations=1)
-    per_cell = benchmark.stats.stats.mean / len(hashes)
+    hashes, expand_s = timed_pedantic(benchmark, expand_and_hash, rounds=3)
+    per_cell = expand_s / len(hashes)
     print()
     print(
         f"campaign expansion+hash: {len(hashes)} cells |"
-        f" {benchmark.stats.stats.mean * 1000:.1f} ms/expansion |"
+        f" {expand_s * 1000:.1f} ms/expansion |"
         f" {per_cell * 1e6:.1f} us/cell"
     )
     assert len(set(hashes)) == len(hashes) - 0  # all distinct here
@@ -118,9 +119,8 @@ def test_store_write_read_and_resume_plan(benchmark, tmp_path):
     def plan():
         return runner.plan(campaign)
 
-    result = benchmark.pedantic(plan, rounds=3, iterations=1)
+    result, plan_s = timed_pedantic(benchmark, plan, rounds=3)
     assert (result.total, result.cached) == (len(cells), len(cells))
-    plan_s = benchmark.stats.stats.mean
     print()
     print(
         f"result store: {len(cells)} records |"
@@ -170,9 +170,8 @@ def test_segmented_store_write_read_and_compact(benchmark, tmp_path):
     def compact():
         return compact_store(tmp_path / "classic")
 
-    stats = benchmark.pedantic(compact, rounds=1, iterations=1)
+    stats, compact_s = timed_pedantic(benchmark, compact)
     assert stats["migrated"] == len(cells)
-    compact_s = benchmark.stats.stats.mean
     print()
     print(
         f"segmented store: {len(cells)} records |"

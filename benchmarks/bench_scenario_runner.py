@@ -11,7 +11,7 @@ import time
 
 from repro import api
 from repro.scenarios.spec import ScenarioSpec
-from benchmarks.conftest import full_scale
+from benchmarks.conftest import full_scale, timed_pedantic
 
 
 def scenario(replications: int) -> ScenarioSpec:
@@ -43,8 +43,7 @@ def test_serial_vs_pool_throughput(benchmark):
     def pooled_run():
         return api.run_scenario(spec)
 
-    pooled = benchmark.pedantic(pooled_run, rounds=1, iterations=1)
-    pooled_s = benchmark.stats.stats.mean
+    pooled, pooled_s = timed_pedantic(benchmark, pooled_run)
 
     assert serial.to_json() == pooled.to_json()
     print()

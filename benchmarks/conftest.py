@@ -12,12 +12,28 @@ Environment knobs:
 """
 
 import os
+import time
 
 import pytest
 
 
 def full_scale() -> bool:
     return os.environ.get("DRS_BENCH_FULL", "0") == "1"
+
+
+def timed_pedantic(benchmark, fn, *, rounds: int = 1):
+    """``benchmark.pedantic(fn)``; returns ``(result, mean seconds per call)``.
+
+    Under ``--benchmark-disable`` pedantic calls ``fn`` once and records
+    no stats, so the mean is that call's wall time; either way the
+    caller's correctness asserts run.
+    """
+    started = time.perf_counter()
+    result = benchmark.pedantic(fn, rounds=rounds, iterations=1)
+    elapsed = time.perf_counter() - started
+    if benchmark.stats is None:
+        return result, elapsed
+    return result, benchmark.stats.stats.mean
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,6 @@ reproduction of every table and figure in the paper's evaluation.
 
 from repro.config import (
     ClusterSpec,
-    ConfigReader,
     DRSConfig,
     MeasurementConfig,
     OptimizationGoal,
@@ -49,13 +48,12 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.model import (
-    CalibratedModel,
     ModelEstimate,
     PerformanceModel,
     PolynomialCalibrator,
     RefinedPerformanceModel,
 )
-from repro.queueing import JacksonNetwork, MMkQueue, OperatorLoad
+from repro.queueing import JacksonNetwork, OperatorLoad
 from repro.scheduler import (
     Allocation,
     ControllerAction,
@@ -85,7 +83,6 @@ __all__ = [
     "__version__",
     # config
     "ClusterSpec",
-    "ConfigReader",
     "DRSConfig",
     "MeasurementConfig",
     "OptimizationGoal",
@@ -103,14 +100,12 @@ __all__ = [
     "StabilityError",
     "TopologyError",
     # model
-    "CalibratedModel",
     "ModelEstimate",
     "PerformanceModel",
     "PolynomialCalibrator",
     "RefinedPerformanceModel",
     # queueing
     "JacksonNetwork",
-    "MMkQueue",
     "OperatorLoad",
     # scheduler
     "Allocation",

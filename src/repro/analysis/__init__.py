@@ -1,19 +1,5 @@
-"""Statistics helpers for experiment analysis and validation."""
+"""Rank and linear correlation for experiment analysis."""
 
-from repro.analysis.stats import (
-    summarise,
-    SummaryStats,
-    confidence_interval_mean,
-    relative_error,
-)
-from repro.analysis.correlation import pearson, spearman, kendall_tau
+from repro.analysis.correlation import pearson, spearman
 
-__all__ = [
-    "summarise",
-    "SummaryStats",
-    "confidence_interval_mean",
-    "relative_error",
-    "pearson",
-    "spearman",
-    "kendall_tau",
-]
+__all__ = ["pearson", "spearman"]

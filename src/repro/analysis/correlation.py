@@ -47,22 +47,3 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman rank correlation (Pearson on fractional ranks)."""
     _check_paired(xs, ys)
     return pearson(_ranks(xs), _ranks(ys))
-
-
-def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Kendall's tau-a: concordant minus discordant pair fraction."""
-    _check_paired(xs, ys)
-    n = len(xs)
-    concordant = 0
-    discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            product = dx * dy
-            if product > 0:
-                concordant += 1
-            elif product < 0:
-                discordant += 1
-    total_pairs = n * (n - 1) // 2
-    return (concordant - discordant) / total_pairs

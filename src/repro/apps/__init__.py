@@ -9,8 +9,8 @@
   reporter topology of Fig. 5;
 - :mod:`repro.apps.synthetic` — the synthetic three-bolt chain used for
   the Fig. 8 underestimation study;
-- :mod:`repro.apps.patterns` — a real sliding-window maximal-frequent-
-  pattern miner (the detector's actual analytics);
+- :mod:`repro.apps.patterns` — the FPD pattern generator's
+  candidate-itemset expansion;
 - :mod:`repro.apps.sift` — a synthetic SIFT-like feature extraction and
   matching kernel (the VLD bolts' actual computation in the runnable
   examples);

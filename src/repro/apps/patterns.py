@@ -1,29 +1,17 @@
-"""Sliding-window maximal-frequent-pattern (MFP) mining — real analytics.
+"""Candidate-itemset expansion for the FPD pattern generator.
 
-Implements the detector's actual job from paper Sec. V-A:
-
-    "we define a maximal frequent pattern (MFP) to be the itemset
-    satisfying: (a) the number of item groups containing this itemset,
-    called its occurrence count, is above the threshold; and (b) the
-    occurrence count of any of its superset is below the threshold."
-
-:class:`SlidingWindowMFP` maintains occurrence counts of all itemsets
-up to ``max_itemset_size`` over a count-based sliding window, updated
-incrementally as transactions enter (+) and leave (-).  Each update
-returns the *state-change notifications* (itemsets that became or
-stopped being frequent / maximal) — exactly the tuples the detector
-sends to the reporter and around its feedback loop.
-
-The candidate-itemset expansion of a transaction (the pattern
-generator's job) is :func:`candidate_itemsets`.
+The paper's Frequent Pattern Detection application (Sec. V-A) counts
+*maximal frequent patterns* over a sliding window of tweets.  Its
+pattern-generator bolt expands each transaction into every candidate
+itemset, which is :func:`candidate_itemsets`; the runnable FPD example
+(``examples/frequent_pattern_detection.py``) counts those candidates
+over a sliding window in its detector bolt.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Deque, FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List
 
 from repro.utils.validation import check_positive_int
 
@@ -46,143 +34,3 @@ def candidate_itemsets(
     for size in range(1, min(max_size, len(items)) + 1):
         result.extend(frozenset(c) for c in combinations(items, size))
     return result
-
-
-@dataclass(frozen=True)
-class StateChange:
-    """One detector notification: an itemset's frequent/MFP flags moved."""
-
-    itemset: Itemset
-    became_frequent: bool
-    was_frequent: bool
-
-    @property
-    def is_change(self) -> bool:
-        return self.became_frequent != self.was_frequent
-
-
-class SlidingWindowMFP:
-    """Incremental MFP mining over a count-based sliding window.
-
-    Parameters
-    ----------
-    window_size:
-        Number of most recent transactions retained (the paper uses a
-        50,000-tweet window).
-    threshold:
-        Minimum occurrence count for an itemset to be *frequent*.
-    max_itemset_size:
-        Cap on tracked itemset cardinality (keeps the candidate space
-        polynomial; the paper's generator has the same practical bound).
-    """
-
-    def __init__(
-        self, window_size: int, threshold: int, max_itemset_size: int = 3
-    ):
-        check_positive_int("window_size", window_size)
-        check_positive_int("threshold", threshold)
-        check_positive_int("max_itemset_size", max_itemset_size)
-        self._window_size = window_size
-        self._threshold = threshold
-        self._max_size = max_itemset_size
-        self._counts: Counter = Counter()
-        self._window: Deque[Tuple[Itemset, ...]] = deque()
-        self._frequent: Set[Itemset] = set()
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def window_size(self) -> int:
-        return self._window_size
-
-    @property
-    def threshold(self) -> int:
-        return self._threshold
-
-    @property
-    def current_window_length(self) -> int:
-        return len(self._window)
-
-    def occurrence_count(self, itemset: Iterable[str]) -> int:
-        """Current occurrence count of an itemset (0 if never seen)."""
-        return self._counts.get(frozenset(itemset), 0)
-
-    def frequent_itemsets(self) -> Set[Itemset]:
-        """All currently frequent itemsets."""
-        return set(self._frequent)
-
-    def maximal_frequent_patterns(self) -> Set[Itemset]:
-        """Frequent itemsets none of whose tracked supersets is frequent.
-
-        This is the paper's MFP definition restricted to the tracked
-        size bound.
-        """
-        maximal: Set[Itemset] = set()
-        for itemset in self._frequent:
-            if not any(
-                other > itemset for other in self._frequent
-            ):
-                maximal.add(itemset)
-        return maximal
-
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def add(self, transaction: Iterable[str]) -> List[StateChange]:
-        """A transaction *enters* the window (the "+" spout's event).
-
-        If the window is full the oldest transaction leaves first, and
-        its state changes are included in the returned list.
-        """
-        changes: List[StateChange] = []
-        if len(self._window) >= self._window_size:
-            changes.extend(self._retire_oldest())
-        candidates = tuple(candidate_itemsets(transaction, self._max_size))
-        self._window.append(candidates)
-        for itemset in candidates:
-            before = self._counts[itemset]
-            self._counts[itemset] = before + 1
-            changes.extend(self._flag_transition(itemset, before, before + 1))
-        return changes
-
-    def remove_oldest(self) -> List[StateChange]:
-        """Explicitly expire the oldest transaction (the "-" spout)."""
-        if not self._window:
-            return []
-        return self._retire_oldest()
-
-    def _retire_oldest(self) -> List[StateChange]:
-        candidates = self._window.popleft()
-        changes: List[StateChange] = []
-        for itemset in candidates:
-            before = self._counts[itemset]
-            after = before - 1
-            if after <= 0:
-                del self._counts[itemset]
-                after = 0
-            else:
-                self._counts[itemset] = after
-            changes.extend(self._flag_transition(itemset, before, after))
-        return changes
-
-    def _flag_transition(
-        self, itemset: Itemset, before: int, after: int
-    ) -> List[StateChange]:
-        was = before >= self._threshold
-        now = after >= self._threshold
-        if was == now:
-            return []
-        if now:
-            self._frequent.add(itemset)
-        else:
-            self._frequent.discard(itemset)
-        return [
-            StateChange(itemset=itemset, became_frequent=now, was_frequent=was)
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"SlidingWindowMFP(window={len(self._window)}/{self._window_size},"
-            f" threshold={self._threshold}, frequent={len(self._frequent)})"
-        )

@@ -5,8 +5,9 @@ manages: (a) the optimisation problem type (Program 4 vs Program 6);
 (b) ``Kmax`` / ``Tmax``; (c) measurer parameters — sampling rate ``Nm``,
 trigger interval ``Tm``, smoothing (``alpha`` or window ``w``); (d)
 scheduler parameters — current allocation, re-allocation cost.
-:class:`DRSConfig` bundles them; :class:`ConfigReader` is the general
-dict-backed interface the paper describes, with validation.
+:class:`DRSConfig` bundles them; :func:`cluster_from_dict` and
+:func:`measurement_from_dict` validate the ``cluster`` and
+``measurement`` blocks of a scenario spec.
 """
 
 from __future__ import annotations
@@ -150,106 +151,35 @@ class DRSConfig:
             raise ConfigurationError("scale_in_safety must be in (0, 1]")
 
 
+def _parse_smoothing(value: Any) -> SmoothingKind:
+    if isinstance(value, SmoothingKind):
+        return value
+    try:
+        return SmoothingKind(str(value))
+    except ValueError:
+        options = [s.value for s in SmoothingKind]
+        raise ConfigurationError(
+            f"unknown smoothing {value!r}; options: {options}"
+        ) from None
+
+
+def _parse_section(section: Mapping[str, Any], cls: type, name: str):
+    if not isinstance(section, Mapping):
+        raise ConfigurationError(f"{name} section must be a mapping")
+    try:
+        return cls(**dict(section))
+    except TypeError as exc:
+        raise ConfigurationError(f"bad {name} section: {exc}") from None
+
+
 def cluster_from_dict(raw: Mapping[str, Any]) -> ClusterSpec:
     """Validated :class:`ClusterSpec` from a plain mapping."""
-    return ConfigReader._parse_section(raw, ClusterSpec, "cluster")
+    return _parse_section(raw, ClusterSpec, "cluster")
 
 
 def measurement_from_dict(raw: Mapping[str, Any]) -> MeasurementConfig:
     """Validated :class:`MeasurementConfig` from a plain mapping."""
     section = dict(raw)
     if "smoothing" in section:
-        section["smoothing"] = ConfigReader._parse_smoothing(section["smoothing"])
-    return ConfigReader._parse_section(section, MeasurementConfig, "measurement")
-
-
-class ConfigReader:
-    """Dict-backed configuration interface (paper Appendix B/C).
-
-    Parses a plain mapping (e.g. loaded from JSON/YAML by the caller)
-    into a validated :class:`DRSConfig`.  Unknown keys are rejected so
-    typos fail loudly.
-    """
-
-    _TOP_KEYS = {
-        "goal",
-        "kmax",
-        "tmax",
-        "cluster",
-        "measurement",
-        "migration_cost",
-        "amortisation_horizon",
-        "rebalance_threshold",
-        "headroom",
-        "scale_in_safety",
-    }
-
-    def read(self, raw: Mapping[str, Any]) -> DRSConfig:
-        """Build a validated :class:`DRSConfig` from a raw mapping."""
-        unknown = set(raw) - self._TOP_KEYS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown configuration keys: {sorted(unknown)}"
-            )
-        kwargs: dict = {}
-        if "goal" in raw:
-            kwargs["goal"] = self._parse_goal(raw["goal"])
-        for key in (
-            "kmax",
-            "tmax",
-            "migration_cost",
-            "amortisation_horizon",
-            "rebalance_threshold",
-            "headroom",
-            "scale_in_safety",
-        ):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "cluster" in raw:
-            kwargs["cluster"] = self._parse_section(
-                raw["cluster"], ClusterSpec, "cluster"
-            )
-        if "measurement" in raw:
-            section = dict(raw["measurement"])
-            if "smoothing" in section:
-                section["smoothing"] = self._parse_smoothing(section["smoothing"])
-            kwargs["measurement"] = self._parse_section(
-                section, MeasurementConfig, "measurement"
-            )
-        try:
-            return DRSConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(str(exc)) from None
-
-    @staticmethod
-    def _parse_goal(value: Any) -> OptimizationGoal:
-        if isinstance(value, OptimizationGoal):
-            return value
-        try:
-            return OptimizationGoal(str(value))
-        except ValueError:
-            options = [g.value for g in OptimizationGoal]
-            raise ConfigurationError(
-                f"unknown goal {value!r}; options: {options}"
-            ) from None
-
-    @staticmethod
-    def _parse_smoothing(value: Any) -> SmoothingKind:
-        if isinstance(value, SmoothingKind):
-            return value
-        try:
-            return SmoothingKind(str(value))
-        except ValueError:
-            options = [s.value for s in SmoothingKind]
-            raise ConfigurationError(
-                f"unknown smoothing {value!r}; options: {options}"
-            ) from None
-
-    @staticmethod
-    def _parse_section(section: Mapping[str, Any], cls: type, name: str):
-        if not isinstance(section, Mapping):
-            raise ConfigurationError(f"{name} section must be a mapping")
-        try:
-            return cls(**dict(section))
-        except TypeError as exc:
-            raise ConfigurationError(f"bad {name} section: {exc}") from None
+        section["smoothing"] = _parse_smoothing(section["smoothing"])
+    return _parse_section(section, MeasurementConfig, "measurement")

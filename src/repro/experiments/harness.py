@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.config import ClusterSpec, DRSConfig, OptimizationGoal
+from repro.config import DRSConfig, OptimizationGoal
 from repro.scenarios.binding import PolicyBinding
 from repro.scenarios.policies import DRSControllerPolicy
 from repro.scheduler.allocation import Allocation
@@ -79,20 +79,6 @@ class DRSBinding(PolicyBinding):
     @property
     def controller(self) -> DRSController:
         return self._controller
-
-
-def make_tmax_controller(
-    topology: Topology,
-    tmax: float,
-    cluster: ClusterSpec,
-) -> DRSController:
-    """Convenience: a MIN_RESOURCE controller for the given topology."""
-    config = DRSConfig(
-        goal=OptimizationGoal.MIN_RESOURCE,
-        tmax=tmax,
-        cluster=cluster,
-    )
-    return DRSController(list(topology.operator_names), config)
 
 
 def make_kmax_controller(

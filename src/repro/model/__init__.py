@@ -7,13 +7,12 @@ correction the paper suggests for network-bound applications (FPD).
 """
 
 from repro.model.performance import PerformanceModel, ModelEstimate
-from repro.model.calibration import PolynomialCalibrator, CalibratedModel
+from repro.model.calibration import PolynomialCalibrator
 from repro.model.refined import RefinedPerformanceModel
 
 __all__ = [
     "PerformanceModel",
     "ModelEstimate",
     "PolynomialCalibrator",
-    "CalibratedModel",
     "RefinedPerformanceModel",
 ]

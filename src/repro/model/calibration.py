@@ -6,11 +6,10 @@ underestimates the measured sojourn time, but the estimates remain
 used straightforwardly to make accurate predictions of the true latency
 value given the estimated one."  This module implements exactly that:
 
-- :class:`PolynomialCalibrator` fits ``measured ~ poly(estimated)`` by
-  least squares (numpy) with an enforced monotone-non-decreasing check
-  over the fitted range;
-- :class:`CalibratedModel` wraps a :class:`PerformanceModel` and applies
-  the fitted correction to every estimate.
+:class:`PolynomialCalibrator` fits ``measured ~ poly(estimated)`` by
+least squares (numpy) with an enforced monotone-non-decreasing check
+over the fitted range.  The Fig. 7 driver fits it to the (estimated,
+measured) pairs of a run and reports its R².
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.model.performance import PerformanceModel
 
 
 class PolynomialCalibrator:
@@ -106,39 +104,3 @@ class PolynomialCalibrator:
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"
         return f"PolynomialCalibrator(degree={self._degree}, {state})"
-
-
-class CalibratedModel:
-    """A :class:`PerformanceModel` with a measurement-fitted correction.
-
-    Exposes the same ``expected_sojourn`` interface so the optimiser and
-    controller can use it as a drop-in replacement.  Because the paper's
-    greedy relies only on the *ordering* of allocations, and polynomial
-    calibration of a strongly-correlated estimator preserves ordering in
-    the fitted range, the optimality argument carries over.
-    """
-
-    def __init__(self, model: PerformanceModel, calibrator: PolynomialCalibrator):
-        if not calibrator.is_fitted:
-            raise ModelError("calibrator must be fitted before wrapping a model")
-        self._model = model
-        self._calibrator = calibrator
-
-    @property
-    def model(self) -> PerformanceModel:
-        return self._model
-
-    @property
-    def calibrator(self) -> PolynomialCalibrator:
-        return self._calibrator
-
-    def expected_sojourn(self, allocation: Sequence[int]) -> float:
-        """Calibrated ``E[T](k)``."""
-        return self._calibrator.predict(self._model.expected_sojourn(allocation))
-
-    def raw_expected_sojourn(self, allocation: Sequence[int]) -> float:
-        """Uncalibrated Eq. (3) value, for diagnostics."""
-        return self._model.expected_sojourn(allocation)
-
-    def __repr__(self) -> str:
-        return f"CalibratedModel({self._model!r}, {self._calibrator!r})"

@@ -6,9 +6,6 @@ on (paper Sec. III-B):
 - :mod:`repro.queueing.erlang` — the M/M/k delay system: Erlang-C
   probability, expected sojourn time (the paper's Eq. 1-2), convexity
   helpers used by the greedy optimiser;
-- :mod:`repro.queueing.mmk` — richer M/M/k results (queue-length
-  distribution, waiting-time quantiles) used for validation and for
-  percentile-aware scheduling extensions;
 - :mod:`repro.queueing.jackson` — the open-queueing-network solution:
   traffic equations over arbitrary topologies (loops included) and the
   network-wide expected sojourn time (Eq. 3).
@@ -24,7 +21,6 @@ from repro.queueing.erlang import (
     marginal_benefit,
     utilisation,
 )
-from repro.queueing.mmk import MMkQueue
 from repro.queueing.mgk import (
     expected_sojourn_time_gg,
     expected_waiting_time_gg,
@@ -41,7 +37,6 @@ __all__ = [
     "min_servers",
     "marginal_benefit",
     "utilisation",
-    "MMkQueue",
     "expected_sojourn_time_gg",
     "expected_waiting_time_gg",
     "marginal_benefit_gg",

@@ -6,6 +6,11 @@ inter-arrival and service times (M/M/k); the experiments deliberately
 violate that assumption (uniform frame rates, heavy-tailed SIFT costs)
 to show the model is robust — this package supplies both the conforming
 and the violating distributions.
+
+Every parametric distribution here is a :func:`distribution_from_spec`
+kind, so a topology file (:func:`repro.topology.topology_from_dict`)
+can name it; :class:`Empirical` is built in code, by trace replay's
+resampled inter-arrival gaps.
 """
 
 from repro.randomness.distributions import (
@@ -19,9 +24,6 @@ from repro.randomness.distributions import (
     HyperExponential,
     Pareto,
     Empirical,
-    Mixture,
-    Shifted,
-    Scaled,
     distribution_from_spec,
 )
 from repro.randomness.arrival import (
@@ -46,9 +48,6 @@ __all__ = [
     "HyperExponential",
     "Pareto",
     "Empirical",
-    "Mixture",
-    "Shifted",
-    "Scaled",
     "distribution_from_spec",
     "ArrivalProcess",
     "PoissonProcess",

@@ -52,14 +52,6 @@ class Distribution:
             return 0.0
         return self.variance / (mean * mean)
 
-    def with_mean(self, new_mean: float) -> "Distribution":
-        """Return a copy rescaled to the given mean, preserving shape."""
-        check_positive("new_mean", new_mean)
-        current = self.mean
-        if current <= 0:
-            raise ValueError("cannot rescale a distribution with mean <= 0")
-        return Scaled(self, new_mean / current)
-
 
 class Deterministic(Distribution):
     """Point mass at ``value`` (D in Kendall notation)."""
@@ -377,94 +369,6 @@ class Empirical(Distribution):
 
     def __repr__(self) -> str:
         return f"Empirical(n={len(self._values)})"
-
-
-class Mixture(Distribution):
-    """Probabilistic mixture of component distributions."""
-
-    def __init__(self, components: Sequence[Distribution], weights: Sequence[float]):
-        if not components:
-            raise ValueError("components must be non-empty")
-        if len(components) != len(weights):
-            raise ValueError("weights must match components in length")
-        total = float(sum(weights))
-        if total <= 0 or any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative and sum > 0")
-        self._components = list(components)
-        self._probs = [w / total for w in weights]
-        self._cumulative = []
-        acc = 0.0
-        for p in self._probs:
-            acc += p
-            self._cumulative.append(acc)
-        self._cumulative[-1] = 1.0
-
-    def sample(self, rng: random.Random) -> float:
-        index = bisect.bisect_left(self._cumulative, rng.random())
-        index = min(index, len(self._components) - 1)
-        return self._components[index].sample(rng)
-
-    @property
-    def mean(self) -> float:
-        return sum(c.mean * p for c, p in zip(self._components, self._probs))
-
-    @property
-    def variance(self) -> float:
-        mean = self.mean
-        second = sum(
-            (c.variance + c.mean * c.mean) * p
-            for c, p in zip(self._components, self._probs)
-        )
-        return max(0.0, second - mean * mean)
-
-    def __repr__(self) -> str:
-        return f"Mixture(n={len(self._components)})"
-
-
-class Shifted(Distribution):
-    """``base + offset`` — adds a constant (e.g. fixed network overhead)."""
-
-    def __init__(self, base: Distribution, offset: float):
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        self._base = base
-        self._offset = float(offset)
-
-    def sample(self, rng: random.Random) -> float:
-        return self._base.sample(rng) + self._offset
-
-    @property
-    def mean(self) -> float:
-        return self._base.mean + self._offset
-
-    @property
-    def variance(self) -> float:
-        return self._base.variance
-
-    def __repr__(self) -> str:
-        return f"Shifted({self._base!r}, offset={self._offset})"
-
-
-class Scaled(Distribution):
-    """``base * factor`` — rescales a distribution, preserving its shape."""
-
-    def __init__(self, base: Distribution, factor: float):
-        self._base = base
-        self._factor = check_positive("factor", factor)
-
-    def sample(self, rng: random.Random) -> float:
-        return self._base.sample(rng) * self._factor
-
-    @property
-    def mean(self) -> float:
-        return self._base.mean * self._factor
-
-    @property
-    def variance(self) -> float:
-        return self._base.variance * self._factor * self._factor
-
-    def __repr__(self) -> str:
-        return f"Scaled({self._base!r}, factor={self._factor})"
 
 
 #: Families :func:`heavy_tailed` can fit to a (mean, SCV) target.

@@ -112,21 +112,3 @@ def min_processors_for_target(
         heapq.heappush(heap, (-evaluators[i].advance(), next(counter), i))
 
     return Allocation(names, counts)
-
-
-def required_machines(
-    total_processors: int, executors_per_machine: int
-) -> int:
-    """Machines needed to host ``total_processors`` executors.
-
-    Matches the paper's cluster accounting (5 executors per machine in
-    the experiments; ExpA grows from 4 to 5 machines to go from
-    Kmax=17 to Kmax=22... together with the spout/DRS executors).
-    """
-    if total_processors < 0:
-        raise ValueError(f"total_processors must be >= 0, got {total_processors}")
-    if executors_per_machine < 1:
-        raise ValueError(
-            f"executors_per_machine must be >= 1, got {executors_per_machine}"
-        )
-    return -(-total_processors // executors_per_machine)  # ceil division

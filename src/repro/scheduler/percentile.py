@@ -93,7 +93,7 @@ def operator_sojourn_moments(lam: float, mu: float, k: int) -> tuple:
     second_w = 2.0 * c / (theta * theta)
     # Analytically var_w = c*(2 - c)/theta^2 >= 0; the subtraction can
     # still cancel to a tiny negative in floating point when c ~ 0
-    # (ErlangC ~ 0 at low utilisation), so clamp.
+    # (ErlangC ~ 0 at low utilisation), so floor it at zero.
     var_w = max(0.0, second_w - mean_w * mean_w)
     var_s = 1.0 / (mu * mu)
     return mean, var_w + var_s

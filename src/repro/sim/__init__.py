@@ -21,7 +21,7 @@ it only consumes measured rates and sojourn times, exactly as it would
 on a real cluster.
 """
 
-from repro.sim.engine import Simulator, EventHandle
+from repro.sim.engine import Simulator
 from repro.sim.cluster import Machine, Cluster
 from repro.sim.rebalancing import RebalanceCostModel, RebalanceStyle
 from repro.sim.negotiator import SimResourceNegotiator
@@ -29,7 +29,6 @@ from repro.sim.runtime import TopologyRuntime, RuntimeOptions, RunStats
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "Machine",
     "Cluster",
     "RebalanceCostModel",

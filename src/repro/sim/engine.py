@@ -5,31 +5,22 @@ dispatch.  Events scheduled at equal times fire in scheduling order (a
 monotonic sequence number breaks ties), which keeps runs deterministic
 under a fixed RNG seed.
 
-Two scheduling surfaces share one queue (and one tie-breaking sequence):
+The queue is one binary heap of ``(time, seq, kind, a, b)`` records,
+and every event is typed: the loop calls ``handlers[kind](a, b)``.  A
+component registers a handler once (:meth:`Simulator.register_handler`
+returns an integer *kind*) and then schedules plain records with
+:meth:`Simulator.schedule_event` — no per-event closure or handle
+object.  Callers may push such records into ``_queue`` directly (the
+topology runtime inlines exactly that).
 
-- :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — the
-  general callback API.  Each call allocates an :class:`EventHandle`
-  supporting O(1) cancellation; this is the right surface for *rare*
-  events (rebalance resumes, controller actions, tests).
-- :meth:`Simulator.schedule_event` — the allocation-free hot path.  A
-  component registers a handler once (:meth:`Simulator.register_handler`
-  returns an integer *kind*) and then schedules plain
-  ``(time, seq, kind, a, b)`` records; the loop dispatches by kind
-  through the handler table.  No per-event closure, no handle object.
+Kind 1 runs a plain callback: :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_at` push ``(time, seq, 1, callback, None)``.
+This is the surface for *rare* events (rebalance resumes, controller
+actions, tests).  Both surfaces share one tie-breaking sequence.
 
-The queue is a single binary heap of ``(time, seq, kind, a, b)``
-records; callers may push such records into ``_queue`` directly (the
-topology runtime inlines exactly that).  Every push and pop costs
-``O(log pending)``, which stays cheap at the largest backlogs the shipped
-workloads reach (thousands of pending events under a closed-loop client
-population).
-
-Cancelled handles are counted and excluded from :attr:`pending_events`;
-when more than half of the queued entries are cancelled the heap is
-compacted in place.  Compaction subtracts the entries it actually
-removed (rather than zeroing the counter), so a drain that has already
-consumed part of a cancelled backlog cannot trigger a second O(n) pass
-over the same, already-clean backlog.
+Every push and pop costs ``O(log pending)``, which stays cheap at the
+largest backlogs the shipped workloads reach (thousands of pending
+events under a closed-loop client population).
 """
 
 from __future__ import annotations
@@ -40,32 +31,10 @@ from typing import Callable, List, Optional
 
 from repro.exceptions import SimulationError
 
-#: Kind 1 is the handle-based callback surface; registered handlers
-#: start at 2 (kind 0 is reserved).
-_KIND_HANDLE = 1
 
-
-class EventHandle:
-    """Handle to a scheduled event; supports O(1) cancellation."""
-
-    __slots__ = ("time", "callback", "cancelled", "_sim")
-
-    def __init__(self, time: float, callback: Callable[[], None], sim=None):
-        self.time = time
-        self.callback: Optional[Callable[[], None]] = callback
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
-        if self.callback is None:  # already fired or already cancelled
-            self.cancelled = True
-            return
-        self.cancelled = True
-        self.callback = None  # free references early
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancelled()
+def _call(callback: Callable[[], None], _) -> None:
+    """Kind 1: run a :meth:`Simulator.schedule` callback."""
+    callback()
 
 
 class Simulator:
@@ -86,10 +55,9 @@ class Simulator:
         self._queue = []  # (time, seq, kind, a, b)
         self._seq = 0
         self._processed = 0
-        self._cancelled = 0
-        # Handler table indexed by kind; slots 0/1 are the callback and
-        # handle surfaces, dispatched inline by the loop.
-        self._handlers: List[Optional[Callable]] = [None, None]  # kinds 0/1
+        # Handler table indexed by kind: kind 0 is reserved, kind 1 runs
+        # plain callbacks, registered handlers start at 2.
+        self._handlers: List[Optional[Callable]] = [None, _call]
 
     @property
     def now(self) -> float:
@@ -103,8 +71,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued and not cancelled."""
-        return len(self._queue) - self._cancelled
+        """Events still queued."""
+        return len(self._queue)
 
     @property
     def spilled_events(self) -> int:
@@ -130,8 +98,8 @@ class Simulator:
     def schedule_event(self, delay: float, kind: int, a=None, b=None) -> None:
         """Allocation-free scheduling of a typed event ``delay`` from now.
 
-        The hot path of the simulator: one heap tuple, no handle, no
-        closure.  Events of unknown kinds fail at dispatch time.
+        The hot path of the simulator: one heap tuple, no closure.
+        Events of unknown kinds fail at dispatch time.
         """
         if not delay >= 0.0:  # catches all negative delays and NaN
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
@@ -139,79 +107,25 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._queue, (self._now + delay, seq, kind, a, b))
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0 or math.isnan(delay):
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         if time < self._now or math.isnan(time):
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
-        handle = EventHandle(time, callback, self)
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, _KIND_HANDLE, handle, None))
-        return handle
-
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Account a cancellation; compact when more than half of the
-        pending entries are dead weight."""
-        self._cancelled += 1
-        if self._cancelled > 8 and self._cancelled * 2 > len(self._queue):
-            removed = self._compact()
-            # Subtract what compaction actually removed instead of
-            # zeroing the counter: entries of this backlog that an
-            # in-progress drain already popped are no longer anywhere,
-            # and a blind reset would let the next cancellation trigger
-            # a second O(n) pass over the same, already-clean backlog.
-            self._cancelled -= removed
-            if self._cancelled < 0:
-                self._cancelled = 0
-
-    def _compact(self) -> int:
-        """Drop cancelled handle entries from the heap; returns how many
-        entries were removed."""
-        queue = self._queue
-        before = len(queue)
-        queue[:] = [
-            entry
-            for entry in queue
-            if not (entry[2] == _KIND_HANDLE and entry[3].cancelled)
-        ]
-        heapq.heapify(queue)
-        return before - len(queue)
+        heapq.heappush(self._queue, (time, seq, 1, callback, None))
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event; returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _, kind, a, b = heapq.heappop(queue)
-            if kind >= 2:
-                self._now = time
-                self._processed += 1
-                self._handlers[kind](a, b)
-                return True
-            if a.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = time
-            callback = a.callback
-            a.callback = None
-            self._processed += 1
-            callback()
-            return True
-        return False
-
     def run_until(self, horizon: float) -> None:
         """Run events up to and including time ``horizon``.
 
@@ -231,33 +145,10 @@ class Simulator:
             if time > horizon:
                 break
             heappop(queue)
-            kind = entry[2]
-            if kind >= 2:
-                self._now = time
-                self._processed += 1
-                handlers[kind](entry[3], entry[4])
-            else:
-                handle = entry[3]
-                if handle.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._now = time
-                callback = handle.callback
-                handle.callback = None
-                self._processed += 1
-                callback()
+            self._now = time
+            self._processed += 1
+            handlers[entry[2]](entry[3], entry[4])
         self._now = horizon
-
-    def run_all(self, *, max_events: int = 50_000_000) -> None:
-        """Drain the queue completely (with a runaway guard)."""
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely an unstable"
-                    " feedback loop or a self-rescheduling event"
-                )
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,7 @@ from repro.topology.grouping import (
 )
 from repro.topology.builder import TopologyBuilder
 from repro.topology.routing import GainMatrix, external_arrival_vector
-from repro.topology.serialization import topology_from_dict, topology_to_dict
+from repro.topology.serialization import topology_from_dict
 
 __all__ = [
     "Operator",
@@ -38,5 +38,4 @@ __all__ = [
     "GainMatrix",
     "external_arrival_vector",
     "topology_from_dict",
-    "topology_to_dict",
 ]

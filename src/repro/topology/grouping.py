@@ -11,7 +11,7 @@ paper observes and which our ablation benchmarks quantify.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.exceptions import RoutingError
 
@@ -138,55 +138,3 @@ class LocalOrShuffleGrouping(Grouping):
 
     def __repr__(self) -> str:
         return "LocalOrShuffleGrouping()"
-
-
-class PartialKeyGrouping(Grouping):
-    """Key grouping with two hash choices, picking the less-loaded task.
-
-    Implements the "power of two choices" load-balancing refinement the
-    paper cites as orthogonal related work ([33], [34] discuss stream
-    load balancing).  Load feedback is supplied by the simulator through
-    a callable; without it the grouping degenerates to the first hash.
-    """
-
-    def __init__(
-        self,
-        fields: Sequence[str],
-        load_of_task: Callable[[int], float] = None,
-    ):
-        if not fields:
-            raise RoutingError("PartialKeyGrouping requires at least one field")
-        self._fields = tuple(fields)
-        self._load_of_task = load_of_task
-
-    def set_load_probe(self, load_of_task: Callable[[int], float]) -> None:
-        """Install the load-feedback callable (queue length per task)."""
-        self._load_of_task = load_of_task
-
-    def select_tasks(self, payload, num_tasks, rng):
-        self._check_num_tasks(num_tasks)
-        try:
-            key = tuple(payload[f] for f in self._fields)
-        except KeyError as missing:
-            raise RoutingError(
-                f"tuple payload missing grouping field {missing}"
-            ) from None
-        first = self._hash(key, 0x9E3779B97F4A7C15) % num_tasks
-        second = self._hash(key, 0xC2B2AE3D27D4EB4F) % num_tasks
-        if self._load_of_task is None or first == second:
-            return (first,)
-        if self._load_of_task(first) <= self._load_of_task(second):
-            return (first,)
-        return (second,)
-
-    @staticmethod
-    def _hash(key, seed: int) -> int:
-        acc = seed
-        for part in key:
-            for byte in repr(part).encode("utf-8"):
-                acc ^= byte
-                acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return acc
-
-    def __repr__(self) -> str:
-        return f"PartialKeyGrouping(fields={list(self._fields)})"

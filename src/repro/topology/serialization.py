@@ -1,4 +1,4 @@
-"""Topology (de)serialisation to plain dicts — config-driven pipelines.
+"""Topology loading from plain dicts — config-driven pipelines.
 
 Lets users describe an application in JSON/YAML (loaded by any parser
 into a dict) and hand it to DRS without writing builder code::
@@ -21,26 +21,18 @@ into a dict) and hand it to DRS without writing builder code::
     }
     topology = topology_from_dict(spec)
 
-``topology_to_dict`` round-trips everything it can represent; arrival
-processes beyond Poisson and custom distribution objects serialise by
-their parameters when they are of the library's standard types.
+Service times and fan-outs take any :func:`distribution_from_spec` kind;
+spouts take a Poisson ``rate`` or a ``uniform_rate`` range.  The loader
+is one-way: nothing serialises a built :class:`Topology` back to a dict.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, Mapping
 
 from repro.exceptions import TopologyError
-from repro.randomness.arrival import PoissonProcess, UniformRateProcess
-from repro.randomness.distributions import (
-    Deterministic,
-    Distribution,
-    Exponential,
-    Gamma,
-    LogNormal,
-    Uniform,
-    distribution_from_spec,
-)
+from repro.randomness.arrival import UniformRateProcess
+from repro.randomness.distributions import distribution_from_spec
 from repro.topology.builder import TopologyBuilder
 from repro.topology.graph import Topology
 from repro.topology.grouping import (
@@ -72,42 +64,6 @@ def _grouping_from_spec(spec: Mapping[str, Any]) -> Grouping:
         return builder(spec)
     except KeyError as missing:
         raise TopologyError(f"grouping spec for {kind!r} missing key {missing}")
-
-
-def _grouping_to_spec(grouping: Grouping) -> Dict[str, Any]:
-    if isinstance(grouping, FieldsGrouping):
-        return {"type": "fields", "fields": list(grouping.fields)}
-    if isinstance(grouping, GlobalGrouping):
-        return {"type": "global"}
-    if isinstance(grouping, BroadcastGrouping):
-        return {"type": "broadcast"}
-    if isinstance(grouping, LocalOrShuffleGrouping):
-        return {"type": "local_or_shuffle"}
-    if isinstance(grouping, ShuffleGrouping):
-        return {"type": "shuffle"}
-    raise TopologyError(
-        f"grouping {type(grouping).__name__} has no dict representation"
-    )
-
-
-def _distribution_to_spec(dist: Distribution) -> Dict[str, Any]:
-    if isinstance(dist, Deterministic):
-        return {"type": "deterministic", "value": dist.mean}
-    if isinstance(dist, Exponential):
-        return {"type": "exponential", "rate": dist.rate}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "low": dist.low, "high": dist.high}
-    if isinstance(dist, LogNormal):
-        return {"type": "lognormal", "mean": dist.mean, "scv": dist.scv}
-    if isinstance(dist, Gamma):
-        return {
-            "type": "gamma",
-            "shape": dist.mean**2 / dist.variance,
-            "scale": dist.variance / dist.mean,
-        }
-    raise TopologyError(
-        f"distribution {type(dist).__name__} has no dict representation"
-    )
 
 
 def topology_from_dict(spec: Mapping[str, Any]) -> Topology:
@@ -161,57 +117,3 @@ def topology_from_dict(spec: Mapping[str, Any]) -> Topology:
             kwargs["fanout"] = distribution_from_spec(edge["fanout"])
         builder.connect(edge["source"], edge["target"], **kwargs)
     return builder.build()
-
-
-def topology_to_dict(topology: Topology) -> Dict[str, Any]:
-    """Serialise a :class:`Topology` to a plain dict (JSON-safe).
-
-    Raises :class:`TopologyError` for components without a standard
-    representation (custom arrival processes or distributions).
-    """
-    spouts: List[Dict[str, Any]] = []
-    for spout in topology.spouts.values():
-        if isinstance(spout.arrivals, PoissonProcess):
-            spouts.append({"name": spout.name, "rate": spout.arrivals.rate})
-        elif isinstance(spout.arrivals, UniformRateProcess):
-            spouts.append(
-                {
-                    "name": spout.name,
-                    "uniform_rate": {
-                        "low": spout.arrivals.low_rate,
-                        "high": spout.arrivals.high_rate,
-                    },
-                }
-            )
-        else:
-            raise TopologyError(
-                f"spout {spout.name!r} uses a non-serialisable arrival"
-                f" process {type(spout.arrivals).__name__}"
-            )
-    operators = [
-        {
-            "name": name,
-            "service_time": _distribution_to_spec(
-                topology.operator(name).service_time
-            ),
-            "stateful": topology.operator(name).stateful,
-        }
-        for name in topology.operator_names
-    ]
-    edges = []
-    for edge in topology.edges:
-        entry: Dict[str, Any] = {
-            "source": edge.source,
-            "target": edge.target,
-            "gain": edge.gain,
-            "grouping": _grouping_to_spec(edge.grouping),
-        }
-        if edge.fanout is not None:
-            entry["fanout"] = _distribution_to_spec(edge.fanout)
-        edges.append(entry)
-    return {
-        "name": topology.name,
-        "spouts": spouts,
-        "operators": operators,
-        "edges": edges,
-    }

@@ -4,15 +4,7 @@ from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_probability,
-    check_in_range,
     check_positive_int,
-    check_type,
-)
-from repro.utils.math_helpers import (
-    clamp,
-    is_close,
-    weighted_mean,
-    safe_divide,
 )
 from repro.utils.rng import RngFactory, derive_seed
 
@@ -20,13 +12,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_in_range",
     "check_positive_int",
-    "check_type",
-    "clamp",
-    "is_close",
-    "weighted_mean",
-    "safe_divide",
     "RngFactory",
     "derive_seed",
 ]

@@ -3,57 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into the closed interval ``[low, high]``."""
-    if low > high:
-        raise ValueError(f"empty interval: low={low} > high={high}")
-    return max(low, min(high, value))
-
-
-def is_close(a: float, b: float, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """``math.isclose`` with library-wide default tolerances."""
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean; weights must be non-negative, not all zero."""
-    if len(values) != len(weights):
-        raise ValueError(
-            f"values and weights must have equal length: "
-            f"{len(values)} != {len(weights)}"
-        )
-    total_weight = 0.0
-    total = 0.0
-    for value, weight in zip(values, weights):
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
-        total_weight += weight
-        total += value * weight
-    if total_weight == 0:
-        raise ValueError("weights sum to zero")
-    return total / total_weight
-
-
-def safe_divide(numerator: float, denominator: float, *, default: float = 0.0) -> float:
-    """``numerator / denominator``, or ``default`` when the denominator is 0."""
-    if denominator == 0:
-        return default
-    return numerator / denominator
-
-
-def running_mean(values: Iterable[float]) -> float:
-    """Numerically stable streaming mean (Welford's update)."""
-    mean = 0.0
-    count = 0
-    for value in values:
-        count += 1
-        mean += (value - mean) / count
-    if count == 0:
-        raise ValueError("mean of empty sequence")
-    return mean
+from typing import Sequence
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:

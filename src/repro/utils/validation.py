@@ -13,15 +13,6 @@ import math
 from typing import Any
 
 
-def check_type(name: str, value: Any, expected: type) -> Any:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
 def _check_finite_number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
@@ -55,35 +46,12 @@ def check_probability(name: str, value: Any) -> float:
     return value
 
 
-def check_in_range(
-    name: str, value: Any, low: float, high: float, *, inclusive: bool = True
-) -> float:
-    """Return ``value`` if it falls within ``[low, high]`` (or open interval)."""
-    value = _check_finite_number(name, value)
-    if inclusive:
-        if not low <= value <= high:
-            raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-    else:
-        if not low < value < high:
-            raise ValueError(f"{name} must be in ({low}, {high}), got {value}")
-    return value
-
-
 def check_positive_int(name: str, value: Any) -> int:
     """Return ``value`` as ``int`` if it is an integer >= 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def check_non_negative_int(name: str, value: Any) -> int:
-    """Return ``value`` as ``int`` if it is an integer >= 0."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 

@@ -1,14 +1,11 @@
-"""Full M/M/k queue analysis beyond the mean used by the paper.
+"""M/M/k oracle: an independent check on :mod:`repro.queueing.erlang`.
 
-:class:`MMkQueue` packages the Erlang results of
-:mod:`repro.queueing.erlang` together with the stationary queue-length
-distribution and waiting-time quantiles.  The paper's DRS only needs
-``E[T]``; the extras here serve
-
-- validation: the simulator's empirical distributions are checked
-  against these analytic ones in the test suite, and
-- the percentile-aware scheduling extension (an "optional/future-work"
-  feature: schedule against a tail-latency target instead of the mean).
+:class:`MMkQueue` packages the Erlang results together with the
+stationary queue-length distribution and waiting-time quantiles.  The
+paper's DRS only needs ``E[T]``, so the library does not ship this
+class; the test suite uses it to check ``queueing.erlang``, the
+percentile bound and the simulator's empirical distributions against
+closed-form M/M/k results.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
-"""Tests for DRSConfig and the configuration reader."""
+"""Tests for DRSConfig and the scenario-block parsers."""
 
 import pytest
 
 from repro.config import (
     ClusterSpec,
-    ConfigReader,
     DRSConfig,
     MeasurementConfig,
     OptimizationGoal,
     SmoothingKind,
+    cluster_from_dict,
+    measurement_from_dict,
 )
 from repro.exceptions import ConfigurationError
 
@@ -69,57 +70,35 @@ class TestClusterSpecValidation:
             ClusterSpec(min_machines=5, max_machines=2)
 
 
-class TestConfigReader:
-    def test_full_round_trip(self):
-        raw = {
-            "goal": "min_resource",
-            "tmax": 1.5,
-            "migration_cost": 2.0,
-            "rebalance_threshold": 0.1,
-            "cluster": {"slots_per_machine": 4, "reserved_executors": 2},
-            "measurement": {
+class TestFromDict:
+    def test_measurement_section_parsed(self):
+        config = measurement_from_dict(
+            {
                 "sample_every": 5,
                 "pull_interval": 20.0,
                 "smoothing": "window",
                 "window": 8,
-            },
-        }
-        config = ConfigReader().read(raw)
-        assert config.goal is OptimizationGoal.MIN_RESOURCE
-        assert config.tmax == 1.5
-        assert config.cluster.slots_per_machine == 4
-        assert config.measurement.smoothing is SmoothingKind.WINDOW
-        assert config.measurement.window == 8
+            }
+        )
+        assert config.smoothing is SmoothingKind.WINDOW
+        assert config.window == 8
 
-    def test_unknown_top_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown configuration"):
-            ConfigReader().read({"kmax": 5, "typo_key": 1})
-
-    def test_unknown_goal_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown goal"):
-            ConfigReader().read({"goal": "make_it_fast", "kmax": 5})
+    def test_cluster_section_parsed(self):
+        cluster = cluster_from_dict({"slots_per_machine": 4, "reserved_executors": 2})
+        assert cluster.slots_per_machine == 4
 
     def test_unknown_smoothing_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown smoothing"):
-            ConfigReader().read(
-                {"kmax": 5, "measurement": {"smoothing": "kalman"}}
-            )
+            measurement_from_dict({"smoothing": "kalman"})
 
     def test_bad_section_type_rejected(self):
         with pytest.raises(ConfigurationError, match="mapping"):
-            ConfigReader().read({"kmax": 5, "cluster": "big"})
+            cluster_from_dict("big")
 
     def test_bad_section_key_rejected(self):
         with pytest.raises(ConfigurationError, match="cluster"):
-            ConfigReader().read({"kmax": 5, "cluster": {"floors": 3}})
+            cluster_from_dict({"floors": 3})
 
     def test_enum_passthrough(self):
-        config = ConfigReader().read(
-            {"goal": OptimizationGoal.MIN_SOJOURN, "kmax": 10}
-        )
-        assert config.goal is OptimizationGoal.MIN_SOJOURN
-
-    def test_defaults_when_empty(self):
-        config = ConfigReader().read({"kmax": 8})
-        assert config.goal is OptimizationGoal.MIN_SOJOURN
-        assert config.cluster.slots_per_machine == 5
+        config = measurement_from_dict({"smoothing": SmoothingKind.WINDOW})
+        assert config.smoothing is SmoothingKind.WINDOW

@@ -14,10 +14,7 @@ from repro.randomness.distributions import (
     Gamma,
     HyperExponential,
     LogNormal,
-    Mixture,
     Pareto,
-    Scaled,
-    Shifted,
     Uniform,
     distribution_from_spec,
 )
@@ -169,35 +166,6 @@ class TestEmpirical:
             Empirical([-1.0])
 
 
-class TestMixture:
-    def test_moments(self):
-        d = Mixture([Deterministic(1.0), Deterministic(3.0)], [1, 1])
-        assert d.mean == pytest.approx(2.0)
-        assert d.variance == pytest.approx(1.0)
-
-    def test_rejects_mismatched_weights(self):
-        with pytest.raises(ValueError):
-            Mixture([Deterministic(1.0)], [1, 2])
-
-
-class TestShiftedScaled:
-    def test_shifted_moments(self):
-        d = Shifted(Exponential(rate=1.0), offset=2.0)
-        assert d.mean == pytest.approx(3.0)
-        assert d.variance == pytest.approx(1.0)
-
-    def test_scaled_moments(self):
-        d = Scaled(Exponential(rate=1.0), factor=3.0)
-        assert d.mean == pytest.approx(3.0)
-        assert d.variance == pytest.approx(9.0)
-
-    def test_with_mean_preserves_scv(self):
-        base = LogNormal(mean=2.0, scv=1.5)
-        rescaled = base.with_mean(5.0)
-        assert rescaled.mean == pytest.approx(5.0)
-        assert rescaled.scv == pytest.approx(1.5)
-
-
 class TestSpecBuilder:
     def test_exponential_by_mean(self):
         d = distribution_from_spec({"type": "exponential", "mean": 0.5})
@@ -232,17 +200,6 @@ def test_lognormal_moment_roundtrip(mean, scv):
     assert d.scv == pytest.approx(scv, rel=1e-9)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    rate=st.floats(min_value=0.01, max_value=1000.0),
-    factor=st.floats(min_value=0.01, max_value=100.0),
-)
-def test_scaled_scv_invariant(rate, factor):
-    """Scaling never changes the squared coefficient of variation."""
-    base = Exponential(rate=rate)
-    assert Scaled(base, factor).scv == pytest.approx(base.scv, rel=1e-9)
-
-
 @settings(max_examples=30, deadline=None)
 @given(samples=st.integers(min_value=1, max_value=20))
 def test_all_distributions_sample_non_negative(samples):
@@ -258,8 +215,6 @@ def test_all_distributions_sample_non_negative(samples):
         HyperExponential.balanced_from_mean_scv(1.0, 2.0),
         Pareto(3.0, 0.5),
         Empirical([0.0, 1.0, 2.0]),
-        Shifted(Exponential(1.0), 0.5),
-        Scaled(Exponential(1.0), 2.0),
     ]
     for dist in distributions:
         for _ in range(samples):

@@ -57,107 +57,9 @@ class TestScheduling:
         sim.run_until(3.0)
         assert fired == []
         assert sim.pending_events == 1
+        assert "pending=1" in repr(sim)
         sim.run_until(6.0)
         assert fired == [1]
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
-        sim.run_until(2.0)
-        assert fired == []
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run_until(2.0)
-        handle.cancel()  # must not raise
-
-    def test_cancelled_events_excluded_from_pending(self):
-        sim = Simulator()
-        handles = [sim.schedule(1.0, lambda: None) for _ in range(4)]
-        assert sim.pending_events == 4
-        handles[0].cancel()
-        handles[2].cancel()
-        assert sim.pending_events == 2
-        assert "pending=2" in repr(sim)
-        handles[0].cancel()  # double cancel must not double-count
-        assert sim.pending_events == 2
-
-    def test_heap_compaction_reclaims_cancelled_entries(self):
-        sim = Simulator()
-        keep = [sim.schedule(5.0, lambda: None) for _ in range(3)]
-        doomed = [sim.schedule(1.0, lambda: None) for _ in range(50)]
-        for handle in doomed:
-            handle.cancel()
-        # More than half of the heap was cancelled -> compacted away.
-        assert len(sim._queue) == 3
-        assert sim.pending_events == 3
-        fired = []
-        for handle in keep:
-            handle.callback = lambda: fired.append(1)
-        sim.run_until(6.0)
-        assert len(fired) == 3
-
-
-class TestCompactionBoundary:
-    """Regression tests at the >half-cancelled compaction boundary."""
-
-    def test_compaction_triggers_only_past_the_boundary(self):
-        sim = Simulator()
-        keep = [sim.schedule(5.0, lambda: None) for _ in range(8)]
-        doomed = [sim.schedule(1.0, lambda: None) for _ in range(9)]
-        for handle in doomed[:8]:
-            handle.cancel()
-        # 8 cancelled of 17: not yet past the ">8 and more than half"
-        # boundary — nothing is compacted, the counter carries the debt.
-        assert len(sim._queue) == 17
-        assert sim._cancelled == 8
-        assert sim.pending_events == 9
-        doomed[8].cancel()
-        # 9 of 17: past the boundary.  Compaction must remove exactly
-        # the cancelled entries and settle the counter to zero, so the
-        # same backlog can never be walked twice.
-        assert len(sim._queue) == 8
-        assert sim._cancelled == 0
-        assert sim.pending_events == 8
-        del keep
-
-    def test_compaction_does_not_rerun_on_clean_backlog(self):
-        sim = Simulator()
-        survivors = [sim.schedule(5.0, lambda: None) for _ in range(8)]
-        doomed = [sim.schedule(1.0, lambda: None) for _ in range(9)]
-        for handle in doomed:
-            handle.cancel()
-        assert sim._cancelled == 0  # compacted and fully accounted
-        # Cancelling against the now-clean backlog must count from
-        # zero: a stale counter would trigger an immediate second
-        # compaction pass (and corrupt pending_events).
-        survivors[0].cancel()
-        assert sim._cancelled == 1
-        assert sim.pending_events == 7
-        assert len(sim._queue) == 8  # nothing compacted at 1/8
-
-    def test_mid_drain_cancellation_keeps_counter_consistent(self):
-        sim = Simulator()
-        fired = []
-        later = [sim.schedule(2.0, lambda: fired.append("late"))
-                 for _ in range(10)]
-
-        def cancel_most():
-            # Runs inside the drain: cancels 9 of the 10 pending
-            # handles, pushing the queue past the compaction boundary
-            # while run_until is iterating.
-            for handle in later[:9]:
-                handle.cancel()
-
-        sim.schedule(1.0, cancel_most)
-        sim.run_until(3.0)
-        assert fired == ["late"]
-        assert sim._cancelled == 0
         assert sim.pending_events == 0
 
 
@@ -197,45 +99,14 @@ class TestLargeBacklog:
         sim.run_until(100.0)
         assert fired == sorted(range(count), key=lambda i: (i % 7, i))
 
-    def test_cancellation_compacts_large_backlog(self):
-        sim = Simulator()
-        count = BACKLOG + 1000
-        handles = [sim.schedule(float(i) + 1.0, lambda: None)
-                   for i in range(count)]
-        for handle in handles[1000:]:
-            handle.cancel()
-        # More than half cancelled: the heap was compacted in place.
-        assert sim.pending_events == 1000
-        assert len(sim._queue) < count
-        fired = []
-        for handle in handles[:1000]:
-            handle.callback = lambda: fired.append(1)
-        sim.run_until(float(count) + 1.0)
-        assert len(fired) == 1000
-        assert sim.pending_events == 0
-        assert sim._cancelled == 0
-
-    def test_step_and_run_until_dispatch_identically(self):
-        def load():
-            sim = Simulator()
-            seen = []
-            kind = sim.register_handler(lambda a, b: seen.append((sim.now, a)))
-            count = BACKLOG + 500
-            for i in range(count):
-                sim.schedule_event(float((count - i) % 97), kind, i)
-            return sim, seen
-
-        stepped, step_seen = load()
-        while stepped.step():
-            pass
-        drained, drain_seen = load()
-        drained.run_until(100.0)
-        assert step_seen == drain_seen
-        assert len(step_seen) == BACKLOG + 500
-        assert stepped.processed_events == drained.processed_events
-
 
 class TestTypedEvents:
+    def test_registered_kinds_start_after_the_callback_kind(self):
+        sim = Simulator()
+        assert sim.register_handler(lambda a, b: None) == 2
+        sim.schedule(1.0, lambda: None)
+        assert sim._queue[0][2] == 1
+
     def test_registered_handler_receives_payload(self):
         sim = Simulator()
         seen = []
@@ -264,15 +135,6 @@ class TestTypedEvents:
         with pytest.raises(SimulationError):
             sim.schedule_event(float("nan"), kind)
 
-    def test_step_dispatches_typed_events(self):
-        sim = Simulator()
-        seen = []
-        kind = sim.register_handler(lambda a, b: seen.append(a))
-        sim.schedule_event(1.0, kind, "x")
-        assert sim.step()
-        assert seen == ["x"]
-        assert sim.processed_events == 1
-
 
 class TestSelfScheduling:
     def test_recurring_event(self):
@@ -287,19 +149,6 @@ class TestSelfScheduling:
         sim.schedule(1.0, tick)
         sim.run_until(10.0)
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_step_returns_false_on_empty(self):
-        assert not Simulator().step()
-
-    def test_run_all_guard(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(0.001, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError, match="max_events"):
-            sim.run_all(max_events=100)
 
     def test_processed_events_counter(self):
         sim = Simulator()

@@ -10,7 +10,6 @@ from repro.topology.grouping import (
     FieldsGrouping,
     GlobalGrouping,
     LocalOrShuffleGrouping,
-    PartialKeyGrouping,
     ShuffleGrouping,
 )
 
@@ -105,28 +104,3 @@ class TestLocalOrShuffle:
         grouping = LocalOrShuffleGrouping()
         (task,) = grouping.select_tasks({}, 8, rng)
         assert 0 <= task < 8
-
-
-class TestPartialKey:
-    def test_without_probe_uses_first_hash(self, rng):
-        grouping = PartialKeyGrouping(["k"])
-        a = grouping.select_tasks({"k": "x"}, 8, rng)
-        b = grouping.select_tasks({"k": "x"}, 8, rng)
-        assert a == b
-
-    def test_with_probe_picks_lighter(self, rng):
-        loads = {i: float(i) for i in range(8)}  # task 0 lightest
-        grouping = PartialKeyGrouping(["k"], load_of_task=lambda t: loads[t])
-        # For any key, the chosen task is the lighter of its two hashes.
-        for key in range(40):
-            (task,) = grouping.select_tasks({"k": key}, 8, rng)
-            first = grouping._hash((key,), 0x9E3779B97F4A7C15) % 8
-            second = grouping._hash((key,), 0xC2B2AE3D27D4EB4F) % 8
-            expected = first if loads[first] <= loads[second] else second
-            if first == second:
-                expected = first
-            assert task == expected
-
-    def test_requires_fields(self):
-        with pytest.raises(RoutingError):
-            PartialKeyGrouping([])

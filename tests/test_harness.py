@@ -6,7 +6,6 @@ from repro.config import MeasurementConfig
 from repro.experiments.harness import (
     DRSBinding,
     make_kmax_controller,
-    make_tmax_controller,
     run_passive,
 )
 from repro.measurement.measurer import MeasurementReport
@@ -145,11 +144,3 @@ class TestControllerFactories:
     def test_kmax_controller(self, vld_like_topology):
         controller = make_kmax_controller(vld_like_topology, kmax=22)
         assert controller.config.kmax == 22
-
-    def test_tmax_controller(self, vld_like_topology):
-        from repro.config import ClusterSpec
-
-        controller = make_tmax_controller(
-            vld_like_topology, tmax=2.0, cluster=ClusterSpec()
-        )
-        assert controller.config.tmax == 2.0

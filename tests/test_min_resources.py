@@ -8,7 +8,6 @@ from repro.exceptions import InfeasibleAllocationError
 from repro.model import PerformanceModel
 from repro.scheduler import min_processors_for_target
 from repro.scheduler.exhaustive import exhaustive_min_processors
-from repro.scheduler.min_resources import required_machines
 
 
 def model_from(lams, mus):
@@ -70,23 +69,6 @@ class TestMinProcessorsForTarget:
         tmax = (e_17 + e_22) / 2.0
         allocation = min_processors_for_target(model, tmax)
         assert 17 < allocation.total <= 22
-
-
-class TestRequiredMachines:
-    def test_exact_fit(self):
-        assert required_machines(20, 5) == 4
-
-    def test_round_up(self):
-        assert required_machines(21, 5) == 5
-
-    def test_zero_executors(self):
-        assert required_machines(0, 5) == 0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            required_machines(-1, 5)
-        with pytest.raises(ValueError):
-            required_machines(1, 0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,12 +5,9 @@ import math
 
 import pytest
 
+from mmk_oracle import MMkQueue
 from repro.model import PerformanceModel, RefinedPerformanceModel
-from repro.queueing import (
-    MMkQueue,
-    expected_queue_length,
-    utilisation,
-)
+from repro.queueing import expected_queue_length, utilisation
 from repro.scheduler import Allocation, assign_processors
 from repro.scheduler.exhaustive import enumerate_allocations
 from repro.scheduler.assign import assignment_trace

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queueing.mmk import MMkQueue
+from mmk_oracle import MMkQueue
 
 
 class TestBasicProperties:

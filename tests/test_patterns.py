@@ -1,28 +1,8 @@
-"""Tests for the sliding-window MFP miner (real analytics correctness)."""
-
-from itertools import combinations
+"""Tests for the FPD pattern generator's candidate-itemset expansion."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.apps.patterns import (
-    SlidingWindowMFP,
-    candidate_itemsets,
-)
-
-
-def brute_force_frequent(window, threshold, max_size):
-    """Reference implementation: count subsets directly."""
-    from collections import Counter
-
-    counts = Counter()
-    for transaction in window:
-        items = sorted(set(transaction))
-        for size in range(1, min(max_size, len(items)) + 1):
-            for combo in combinations(items, size):
-                counts[frozenset(combo)] += 1
-    return {s for s, c in counts.items() if c >= threshold}
+from repro.apps.patterns import candidate_itemsets
 
 
 class TestCandidateItemsets:
@@ -45,125 +25,3 @@ class TestCandidateItemsets:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             candidate_itemsets(["a"], max_size=0)
-
-
-class TestSlidingWindowMFP:
-    def test_simple_frequency(self):
-        miner = SlidingWindowMFP(window_size=10, threshold=2, max_itemset_size=2)
-        miner.add(["a", "b"])
-        assert miner.occurrence_count(["a"]) == 1
-        assert not miner.frequent_itemsets()
-        miner.add(["a", "c"])
-        assert miner.occurrence_count(["a"]) == 2
-        assert frozenset({"a"}) in miner.frequent_itemsets()
-
-    def test_state_change_notifications(self):
-        miner = SlidingWindowMFP(window_size=10, threshold=2)
-        assert miner.add(["a"]) == []
-        changes = miner.add(["a"])
-        assert len(changes) == 1
-        assert changes[0].itemset == frozenset({"a"})
-        assert changes[0].became_frequent
-        assert not changes[0].was_frequent
-
-    def test_window_eviction(self):
-        miner = SlidingWindowMFP(window_size=2, threshold=2)
-        miner.add(["a"])
-        miner.add(["a"])  # 'a' frequent now
-        assert frozenset({"a"}) in miner.frequent_itemsets()
-        changes = miner.add(["b"])  # evicts first 'a'
-        dropped = [c for c in changes if not c.became_frequent]
-        assert any(c.itemset == frozenset({"a"}) for c in dropped)
-        assert frozenset({"a"}) not in miner.frequent_itemsets()
-
-    def test_explicit_removal(self):
-        miner = SlidingWindowMFP(window_size=10, threshold=1)
-        miner.add(["a"])
-        assert frozenset({"a"}) in miner.frequent_itemsets()
-        changes = miner.remove_oldest()
-        assert any(not c.became_frequent for c in changes)
-        assert miner.current_window_length == 0
-
-    def test_remove_from_empty_is_noop(self):
-        miner = SlidingWindowMFP(window_size=5, threshold=1)
-        assert miner.remove_oldest() == []
-
-    def test_maximality(self):
-        miner = SlidingWindowMFP(window_size=10, threshold=2, max_itemset_size=2)
-        miner.add(["a", "b"])
-        miner.add(["a", "b"])
-        # {a}, {b}, {a,b} all frequent; only {a,b} is maximal.
-        assert miner.maximal_frequent_patterns() == {frozenset({"a", "b"})}
-
-    def test_paper_mfp_definition(self):
-        """A frequent itemset whose superset is also frequent is not MFP."""
-        miner = SlidingWindowMFP(window_size=10, threshold=2, max_itemset_size=3)
-        miner.add(["x", "y", "z"])
-        miner.add(["x", "y", "z"])
-        miner.add(["x"])
-        mfps = miner.maximal_frequent_patterns()
-        assert frozenset({"x", "y", "z"}) in mfps
-        assert frozenset({"x"}) not in mfps
-
-    def test_matches_brute_force(self):
-        transactions = [
-            ["a", "b"],
-            ["b", "c"],
-            ["a", "b", "c"],
-            ["a"],
-            ["b", "c"],
-        ]
-        miner = SlidingWindowMFP(window_size=10, threshold=2, max_itemset_size=2)
-        for t in transactions:
-            miner.add(t)
-        expected = brute_force_frequent(transactions, 2, 2)
-        assert miner.frequent_itemsets() == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    transactions=st.lists(
-        st.lists(
-            st.sampled_from(["a", "b", "c", "d", "e"]),
-            min_size=1,
-            max_size=4,
-        ),
-        min_size=1,
-        max_size=30,
-    ),
-    window_size=st.integers(min_value=1, max_value=15),
-    threshold=st.integers(min_value=1, max_value=4),
-)
-def test_incremental_matches_brute_force(transactions, window_size, threshold):
-    """Property: incremental counts over a sliding window always equal a
-    from-scratch recount of the window contents."""
-    miner = SlidingWindowMFP(
-        window_size=window_size, threshold=threshold, max_itemset_size=2
-    )
-    for t in transactions:
-        miner.add(t)
-    window = transactions[-window_size:]
-    expected = brute_force_frequent(window, threshold, 2)
-    assert miner.frequent_itemsets() == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    transactions=st.lists(
-        st.lists(
-            st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_add_remove_roundtrip_empties_state(transactions):
-    """Adding then removing everything leaves no counts behind."""
-    miner = SlidingWindowMFP(window_size=100, threshold=1, max_itemset_size=3)
-    for t in transactions:
-        miner.add(t)
-    for _ in transactions:
-        miner.remove_oldest()
-    assert miner.current_window_length == 0
-    assert not miner.frequent_itemsets()
-    assert miner.occurrence_count(["a"]) == 0

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from mmk_oracle import MMkQueue
 from repro.exceptions import InfeasibleAllocationError
 from repro.model import PerformanceModel
-from repro.queueing import MMkQueue
 from repro.scheduler.min_resources import min_processors_for_target
 from repro.scheduler.percentile import (
     min_processors_for_quantile,

@@ -6,16 +6,8 @@ import pytest
 
 from repro.exceptions import TopologyError
 from repro.model import PerformanceModel
-from repro.randomness.arrival import MMPP2
-from repro.randomness.distributions import Deterministic, LogNormal
 from repro.scheduler import assign_processors
-from repro.topology import (
-    FieldsGrouping,
-    Spout,
-    TopologyBuilder,
-    topology_from_dict,
-    topology_to_dict,
-)
+from repro.topology import FieldsGrouping, topology_from_dict
 
 
 VLD_SPEC = {
@@ -81,64 +73,28 @@ class TestFromDict:
         with pytest.raises(TopologyError, match="mu"):
             topology_from_dict(spec)
 
+    def test_distribution_parameters_preserved(self):
+        topology = topology_from_dict(
+            {
+                "name": "t",
+                "spouts": [{"name": "s", "rate": 2.0}],
+                "operators": [
+                    {"name": "det",
+                     "service_time": {"type": "deterministic", "value": 0.25}},
+                    {"name": "log",
+                     "service_time": {"type": "lognormal", "mean": 0.5, "scv": 2.0}},
+                ],
+                "edges": [
+                    {"source": "s", "target": "det"},
+                    {"source": "det", "target": "log"},
+                ],
+            }
+        )
+        assert topology.operator("det").service_time.mean == pytest.approx(0.25)
+        assert topology.operator("log").service_time.scv == pytest.approx(2.0)
+
     def test_unknown_grouping_rejected(self):
         spec = json.loads(json.dumps(VLD_SPEC))
         spec["edges"][0]["grouping"] = {"type": "rainbow"}
         with pytest.raises(TopologyError, match="unknown grouping"):
             topology_from_dict(spec)
-
-
-class TestToDict:
-    def test_round_trip_preserves_model(self, chain_topology):
-        spec = topology_to_dict(chain_topology)
-        rebuilt = topology_from_dict(spec)
-        original = PerformanceModel.from_topology(chain_topology)
-        restored = PerformanceModel.from_topology(rebuilt)
-        assert restored.network.arrival_rates == pytest.approx(
-            original.network.arrival_rates
-        )
-        assert restored.network.service_rates == pytest.approx(
-            original.network.service_rates
-        )
-
-    def test_round_trip_vld_spec(self):
-        topology = topology_from_dict(VLD_SPEC)
-        spec = topology_to_dict(topology)
-        rebuilt = topology_from_dict(spec)
-        assert rebuilt.external_rate == pytest.approx(13.0)
-        assert rebuilt.operator("aggregator").stateful
-
-    def test_distribution_parameters_preserved(self):
-        topology = (
-            TopologyBuilder("t")
-            .add_spout("s", rate=2.0)
-            .add_operator("det", service_time=Deterministic(0.25))
-            .add_operator("log", service_time=LogNormal(mean=0.5, scv=2.0))
-            .connect("s", "det")
-            .connect("det", "log")
-            .build()
-        )
-        rebuilt = topology_from_dict(topology_to_dict(topology))
-        assert rebuilt.operator("det").service_time.mean == pytest.approx(0.25)
-        assert rebuilt.operator("log").service_time.scv == pytest.approx(2.0)
-
-    def test_json_serialisable_output(self, chain_topology):
-        text = json.dumps(topology_to_dict(chain_topology))
-        assert "chain" in text
-
-    def test_unserialisable_arrival_rejected(self):
-        from repro.topology.graph import Edge, Operator, Topology
-
-        topology = Topology(
-            "t",
-            spouts=[
-                Spout(
-                    name="bursty",
-                    arrivals=MMPP2(1.0, 5.0, 1.0, 1.0),
-                )
-            ],
-            operators=[Operator.with_rate("op", 100.0)],
-            edges=[Edge(source="bursty", target="op")],
-        )
-        with pytest.raises(TopologyError, match="non-serialisable"):
-            topology_to_dict(topology)

@@ -2,71 +2,8 @@
 
 import pytest
 
-from repro.utils.math_helpers import (
-    clamp,
-    is_close,
-    percentile,
-    running_mean,
-    safe_divide,
-    weighted_mean,
-)
+from repro.utils.math_helpers import percentile
 from repro.utils.rng import RngFactory, derive_seed
-
-
-class TestClamp:
-    def test_inside_interval(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_below(self):
-        assert clamp(-1, 0, 10) == 0
-
-    def test_above(self):
-        assert clamp(11, 0, 10) == 10
-
-    def test_empty_interval_raises(self):
-        with pytest.raises(ValueError):
-            clamp(5, 10, 0)
-
-
-class TestWeightedMean:
-    def test_uniform_weights(self):
-        assert weighted_mean([1, 2, 3], [1, 1, 1]) == pytest.approx(2.0)
-
-    def test_weighted(self):
-        assert weighted_mean([1, 3], [3, 1]) == pytest.approx(1.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1], [1, 2])
-
-    def test_zero_weights(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1, 2], [0, 0])
-
-    def test_negative_weight(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1, 2], [1, -1])
-
-
-class TestSafeDivide:
-    def test_normal(self):
-        assert safe_divide(6, 3) == 2
-
-    def test_zero_denominator_default(self):
-        assert safe_divide(6, 0) == 0.0
-
-    def test_zero_denominator_custom(self):
-        assert safe_divide(6, 0, default=-1) == -1
-
-
-class TestRunningMean:
-    def test_matches_builtin(self):
-        values = [1.5, 2.5, 3.5, 10.0]
-        assert running_mean(values) == pytest.approx(sum(values) / len(values))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            running_mean([])
 
 
 class TestPercentile:
@@ -90,17 +27,6 @@ class TestPercentile:
     def test_out_of_range_q(self):
         with pytest.raises(ValueError):
             percentile([1], 101)
-
-
-class TestIsClose:
-    def test_identical(self):
-        assert is_close(1.0, 1.0)
-
-    def test_tiny_difference(self):
-        assert is_close(1.0, 1.0 + 1e-13)
-
-    def test_large_difference(self):
-        assert not is_close(1.0, 1.1)
 
 
 class TestDeriveSeed:

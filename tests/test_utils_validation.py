@@ -6,13 +6,10 @@ import pytest
 
 from repro.utils.validation import (
     check_identifier,
-    check_in_range,
     check_non_negative,
-    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
-    check_type,
 )
 
 
@@ -73,19 +70,6 @@ class TestCheckProbability:
             check_probability("p", -0.0001)
 
 
-class TestCheckInRange:
-    def test_inclusive_bounds_accepted(self):
-        assert check_in_range("x", 5, 5, 10) == 5.0
-        assert check_in_range("x", 10, 5, 10) == 10.0
-
-    def test_exclusive_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            check_in_range("x", 5, 5, 10, inclusive=False)
-
-    def test_exclusive_interior_accepted(self):
-        assert check_in_range("x", 7, 5, 10, inclusive=False) == 7.0
-
-
 class TestCheckPositiveInt:
     def test_accepts_one(self):
         assert check_positive_int("k", 1) == 1
@@ -101,24 +85,6 @@ class TestCheckPositiveInt:
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             check_positive_int("k", True)
-
-
-class TestCheckNonNegativeInt:
-    def test_accepts_zero(self):
-        assert check_non_negative_int("n", 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_non_negative_int("n", -1)
-
-
-class TestCheckType:
-    def test_accepts_match(self):
-        assert check_type("x", "abc", str) == "abc"
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(TypeError, match="x must be str"):
-            check_type("x", 1, str)
 
 
 class TestCheckIdentifier:
