@@ -47,7 +47,7 @@ import re
 import threading
 import weakref
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.campaigns.store import RECORD_VERSION, ResultStore, parse_record
 from repro.scenarios.spec import ScenarioSpec
@@ -203,10 +203,6 @@ class SegmentedResultStore(ResultStore):
     def segment_path(self) -> Path:
         return self._segment_path
 
-    def segment_record_count(self) -> int:
-        """Records currently indexed from segments (all writers)."""
-        return len(self._index)
-
     def mean_record_bytes(self) -> Optional[float]:
         """Observed NDJSON bytes per indexed record, or ``None`` when the
         segments hold no records yet.  Drives the layout-aware store
@@ -249,25 +245,6 @@ class SegmentedResultStore(ResultStore):
         if self._has_classic:
             return super().load_record(spec_hash, seed)
         return None
-
-    def iter_records(
-        self, spec_hash: str
-    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        # list() snapshots the keys: a refresh may add some meanwhile.
-        seeds = {
-            seed for (digest, seed) in list(self._index) if digest == spec_hash
-        }
-        bucket = self._bucket(spec_hash)
-        if self._has_classic and bucket.is_dir():
-            seeds.update(
-                int(p.stem)
-                for p in bucket.glob("*.json")
-                if p.stem.lstrip("-").isdigit()
-            )
-        for seed in sorted(seeds):
-            record = self.load_record(spec_hash, seed)
-            if record is not None:
-                yield seed, record
 
     # ------------------------------------------------------------------
     # write side: append to this writer's segment

@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.runner import ReplicationResult
@@ -116,8 +116,6 @@ class ResultStore:
     >>> _ = store.put(spec, digest, 7, result)
     >>> store.load(digest, 7) == result      # survives the round-trip
     True
-    >>> store.count(digest)
-    1
     """
 
     def __init__(self, root: os.PathLike):
@@ -169,27 +167,6 @@ class ResultStore:
         except OSError:
             return None
         return parse_record(raw)
-
-    def iter_records(
-        self, spec_hash: str
-    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        """All parseable ``(seed, record)`` pairs for one content hash,
-        in ascending seed order (deterministic aggregation order)."""
-        bucket = self._bucket(spec_hash)
-        if not bucket.is_dir():
-            return
-        seeds = sorted(
-            int(p.stem)
-            for p in bucket.glob("*.json")
-            if p.stem.lstrip("-").isdigit()
-        )
-        for seed in seeds:
-            record = self.load_record(spec_hash, seed)
-            if record is not None:
-                yield seed, record
-
-    def count(self, spec_hash: str) -> int:
-        return sum(1 for _ in self.iter_records(spec_hash))
 
     # ------------------------------------------------------------------
     # write side

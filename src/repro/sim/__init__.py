@@ -8,7 +8,9 @@ behaviours DRS interacts with:
   (:mod:`repro.sim.cluster`);
 - spouts emitting external tuples from arrival processes, bolts pulling
   from queues and emitting downstream with per-edge fan-out, routed by
-  Storm-style groupings (:mod:`repro.sim.runtime`);
+  Storm-style groupings (:mod:`repro.sim.runtime`), with platform
+  churn, backpressure and closed-loop clients as opt-in features
+  (:mod:`repro.sim.features`);
 - acker-style tuple-tree completion for sojourn measurement;
 - rebalancing with configurable cost models — Storm's stop-the-world
   default vs. the authors' improved JVM-reuse version

@@ -151,33 +151,6 @@ class Cluster:
         """True iff the running machines can host this many bolt executors."""
         return bolt_executors <= self.bolt_capacity
 
-    def placement(self, bolt_executors: int) -> Dict[int, int]:
-        """Round-robin placement: ``{machine_id: executor_count}``.
-
-        Reserved executors are packed on the first machines, matching
-        the paper's dedicated nimbus/spout placement; bolts fill the
-        remaining slots in machine order.
-        """
-        if not self.can_host(bolt_executors):
-            raise NegotiationError(
-                f"cannot host {bolt_executors} bolt executors on"
-                f" {self.num_running} running machines"
-                f" (capacity {self.bolt_capacity})"
-            )
-        result: Dict[int, int] = {}
-        remaining_reserved = self._reserved
-        remaining_bolts = bolt_executors
-        for machine in sorted(self.running_machines, key=lambda m: m.machine_id):
-            free = machine.slots
-            take_reserved = min(free, remaining_reserved)
-            remaining_reserved -= take_reserved
-            free -= take_reserved
-            take_bolts = min(free, remaining_bolts)
-            remaining_bolts -= take_bolts
-            if take_bolts > 0:
-                result[machine.machine_id] = take_bolts
-        return result
-
     def __repr__(self) -> str:
         return (
             f"Cluster(running={self.num_running}/{self.num_total},"

@@ -41,16 +41,32 @@ event.  Routing state is precomputed once per runtime:
   grouping (``None`` for free-choice/shuffle), the deterministic-gain
   integer/fraction split and prebound measurement recorders, so an
   emission costs no dict lookups and no temporary objects;
-- each operator keeps an O(1) ``queued`` counter (the ``queue_limit``
-  test used to re-scan every executor queue per routed tuple);
+- each operator keeps an O(1) ``queued`` counter for the
+  ``queue_limit`` test;
 - ``jsq`` operators with at least ``_JSQ_HEAP_MIN`` executors maintain a
   lazy min-heap of ``(load, index)`` pairs: every load change pushes the
   fresh pair and stale tops are discarded on query, giving O(log k)
   shortest-queue selection with *identical* tie-breaking to the linear
-  scan (lowest index among minimum load);
-- all of it preserves the RNG draw order and event tie-breaking of the
-  original implementation byte-for-byte — pinned by the golden
-  determinism suite (``tests/test_golden_determinism.py``).
+  scan (lowest index among minimum load).
+
+This module is the plain open-loop core.  Platform churn, backpressure
+and closed-loop clients live in :mod:`repro.sim.features`, built only
+when their option is set.  The handlers never ask whether a feature is
+on; they read state that stays inert while it is off:
+
+- ``executor.speed`` (1.0, and ``x / 1.0 == x`` exactly) and
+  ``executor.dead`` (``False``) — the platform pins and kills executors;
+- ``route.transfer`` — ``hop_latency``, or the platform's link cost;
+- ``full_routes`` on operators and sources (0) and ``op.full``
+  (``False``) — only backpressure raises them;
+- the ``_overflow`` hook (drop the tuple) — backpressure marks the
+  queue full instead;
+- the ``_root_exit`` hook (nothing) — closed-loop clients free the
+  client that issued the tree.
+
+All of it preserves the RNG draw order and event tie-breaking of the
+original implementation byte-for-byte — pinned by the golden fixtures
+(``tests/test_golden_determinism.py``, ``tests/test_feature_mix.py``).
 """
 
 from __future__ import annotations
@@ -77,6 +93,7 @@ from repro.randomness.distributions import Distribution
 from repro.randomness.distributions import Exponential as ExponentialDistribution
 from repro.scheduler.allocation import Allocation
 from repro.sim.engine import Simulator
+from repro.sim.features import Backpressure, ClosedLoopClients, Platform
 from repro.sim.rebalancing import RebalanceCostModel
 from repro.topology.graph import Topology
 from repro.topology.grouping import ShuffleGrouping
@@ -88,31 +105,10 @@ from repro.utils.rng import RngFactory
 #: medium parallelism up); both produce identical selections.
 _JSQ_HEAP_MIN = 16
 
-#: A churn transition that fires during a rebalance pause retries after
-#: this many simulated seconds (the pause has already torn every
-#: executor down; the transition applies once the resume rebuilds them).
-_CHURN_RETRY = 1.0
-
 # Module-level aliases: a LOAD_GLOBAL beats the attribute chain in the
 # per-tuple loops below.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-
-def _mean_transfer(matrix, sources, targets) -> float:
-    """Mean link cost over every ``source × target`` machine pair.
-
-    Routes carry one expected transfer delay rather than sampling the
-    pair per tuple: the per-edge cost stays a single attribute read on
-    the emission hot path and the mean is exact for the uniform
-    executor choice the router makes.
-    """
-    total = 0.0
-    for source in sources:
-        row = matrix[source]
-        for target in targets:
-            total += row[target]
-    return total / (len(sources) * len(targets))
 
 
 @dataclass(frozen=True)
@@ -128,14 +124,10 @@ class RuntimeOptions:
     ``queue_limit`` bounds each operator's total queued tuples; beyond
     it tuples are dropped and their trees abandoned (the "errors when
     the queue reaches its size limit" failure mode of the paper's
-    introduction).  ``backpressure`` changes what a full queue means:
-    instead of dropping, the full operator *signals upstream* — its
-    predecessors stop starting new work and sources pause — so nothing
-    is lost and the pressure propagates to the edge of the topology
-    (blocked time is surfaced in :class:`RunStats`).  ``closed_loop``
-    replaces the open-loop spouts entirely with a finite client
-    population that waits for completions (think time, per-client
-    outstanding cap, optional latency-aware admission control).
+    introduction).  ``platform``, ``backpressure`` and ``closed_loop``
+    switch on the features of :mod:`repro.sim.features`.  The objects
+    ``arrival_model``, ``platform`` and ``closed_loop`` are duck-typed:
+    their packages sit above the simulator in the layering.
     """
 
     queue_discipline: str = "jsq"
@@ -151,33 +143,26 @@ class RuntimeOptions:
     arrival_rate_phases: Optional[Tuple[Tuple[float, float], ...]] = None
     #: Arrival model *replacing* each spout's own process — any object
     #: with ``build(base_process) -> ArrivalProcess`` (in practice a
-    #: :class:`~repro.workloads.models.ArrivalModel`; the dependency is
-    #: duck-typed because workloads sits above sim in the layering).
+    #: :class:`~repro.workloads.models.ArrivalModel`).
     #: The model receives the spout's nominal process (for its mean
     #: rate) and builds a fresh process per spout.  Composes with
     #: ``arrival_rate_phases``: phases wrap the model's output.
     arrival_model: Optional["ArrivalModel"] = None
     #: Execution substrate — any object with
     #: ``bind(topology, allocation) -> binding`` (in practice a
-    #: :class:`~repro.platform.spec.PlatformSpec`; the dependency is
-    #: duck-typed because repro.platform sits above sim in the
-    #: layering).  The binding supplies per-executor machines/speeds,
-    #: the machine-pair transfer matrix and the churn process.  ``None``
-    #: keeps the legacy hop-constant path byte-for-byte.  Mutually
-    #: exclusive with the deprecated ``hop_latency`` knob: per-edge
-    #: transfer times come from the platform's links.
+    #: :class:`~repro.platform.spec.PlatformSpec`): per-executor
+    #: machines/speeds, the machine-pair transfer matrix and the churn
+    #: process.  Mutually exclusive with the deprecated ``hop_latency``.
     platform: Optional[Any] = None
     #: Closed-loop client population *replacing* each spout's arrival
     #: process — any object with ``think_gap(rng) -> float`` plus
     #: ``clients`` / ``max_outstanding`` attributes (in practice a
-    #: :class:`~repro.workloads.closed_loop.ClosedLoopSource`; the
-    #: dependency is duck-typed because workloads sits above sim in the
-    #: layering).  Mutually exclusive with ``arrival_model`` and
+    #: :class:`~repro.workloads.closed_loop.ClosedLoopSource`).
+    #: Mutually exclusive with ``arrival_model`` and
     #: ``arrival_rate_phases``: a reacting population *is* the load.
     closed_loop: Optional[Any] = None
     #: A full queue (``queue_limit`` reached) pauses its upstream
-    #: producers instead of dropping tuples.  Requires ``queue_limit``;
-    #: default ``False`` keeps the drop path byte-for-byte.
+    #: producers instead of dropping tuples.  Requires ``queue_limit``.
     backpressure: bool = False
 
     def __post_init__(self):
@@ -202,10 +187,8 @@ class RuntimeOptions:
         if self.arrival_model is not None and not callable(
             getattr(self.arrival_model, "build", None)
         ):
-            # Duck-typed on purpose: repro.workloads sits *above* the
-            # simulator in the layer diagram, so this module must not
-            # import it.  The scenario runner turns plain-dict specs
-            # into ArrivalModel objects before they reach here.
+            # The scenario runner turns plain-dict specs into
+            # ArrivalModel objects before they reach here.
             raise SimulationError(
                 "arrival_model must provide a build(base_process) method"
                 " (e.g. a repro.workloads ArrivalModel); got"
@@ -213,8 +196,6 @@ class RuntimeOptions:
             )
         if self.platform is not None:
             if not callable(getattr(self.platform, "bind", None)):
-                # Duck-typed for the same layering reason as
-                # arrival_model: repro.platform sits above the simulator.
                 raise SimulationError(
                     "platform must provide a bind(topology, allocation)"
                     " method (e.g. a repro.platform PlatformSpec); got"
@@ -238,8 +219,6 @@ class RuntimeOptions:
             ) or not isinstance(
                 getattr(self.closed_loop, "max_outstanding", None), int
             ):
-                # Duck-typed for the same layering reason as
-                # arrival_model: repro.workloads sits above the simulator.
                 raise SimulationError(
                     "closed_loop must provide a think_gap(rng) method and"
                     " integer clients/max_outstanding attributes (e.g. a"
@@ -334,8 +313,8 @@ class _Route:
     fractional parts of a deterministic gain (``fanout is None``);
     ``arrivals`` is the target operator's measurement counter, updated
     inline by the emission loop; ``transfer`` is the per-edge transport
-    delay: the legacy ``hop_latency`` constant, or under a platform the
-    placement-mean link cost."""
+    delay: the legacy ``hop_latency`` constant, which a platform
+    overwrites with the placement-mean link cost."""
 
     __slots__ = (
         "op",
@@ -347,7 +326,7 @@ class _Route:
         "transfer",
     )
 
-    def __init__(self, edge, op, measurer: Measurer):
+    def __init__(self, edge, op, measurer: Measurer, transfer: float):
         self.op = op
         grouping = edge.grouping
         free_choice = grouping is None or isinstance(grouping, ShuffleGrouping)
@@ -358,36 +337,22 @@ class _Route:
         self.base = base
         self.frac = gain - base
         self.arrivals = measurer.arrival_counter(edge.target)
-        self.transfer = 0.0
+        self.transfer = transfer
 
 
 class _SpoutSource:
     """Per-spout emission state: prebound arrival process, RNG stream
-    and outgoing routes.  ``blocked_since`` is the time this source was
-    paused by backpressure (``None`` while flowing)."""
+    and outgoing routes.  ``full_routes`` counts the routes into a full
+    queue (backpressure pauses the source while it is non-zero)."""
 
-    __slots__ = ("name", "rng", "next_gap", "routes", "blocked_since")
+    __slots__ = ("name", "rng", "next_gap", "routes", "full_routes")
 
     def __init__(self, name, rng, process, routes):
         self.name = name
         self.rng = rng
         self.next_gap = process.next_gap
         self.routes = routes
-        self.blocked_since: Optional[float] = None
-
-
-class _ClientState:
-    """One closed-loop client: how many requests it has in flight, and
-    why it is not issuing right now (``waiting`` = at its outstanding
-    cap, ``blocked_since`` = paused by backpressure since that time)."""
-
-    __slots__ = ("source", "outstanding", "waiting", "blocked_since")
-
-    def __init__(self, source: _SpoutSource):
-        self.source = source
-        self.outstanding = 0
-        self.waiting = False
-        self.blocked_since: Optional[float] = None
+        self.full_routes = 0
 
 
 class _OperatorRuntime:
@@ -413,7 +378,7 @@ class _OperatorRuntime:
         "service_random",
         "service_rate",
         "full",
-        "bp_preds",
+        "full_routes",
     )
 
     def __init__(self, name: str, service: Distribution, discipline: str):
@@ -441,11 +406,10 @@ class _OperatorRuntime:
         # same stream, minus two interpreter frames per draw.
         self.service_random: Optional[Callable[[], float]] = None
         self.service_rate = 0.0
-        # Backpressure state: ``full`` marks queued >= queue_limit;
-        # ``bp_preds`` are the upstream operator runtimes to wake when
-        # this queue drains (both unused unless backpressure is on).
+        # Backpressure state (inert without it): ``full`` marks a queue
+        # at its limit; ``full_routes`` counts out-routes into one.
         self.full = False
-        self.bp_preds: Tuple["_OperatorRuntime", ...] = ()
+        self.full_routes = 0
 
     def set_executors(self, k: int) -> None:
         """Install ``k`` fresh executors (and a fresh jsq heap when the
@@ -543,6 +507,7 @@ class TopologyRuntime:
             topology.operator_names, self._options.measurement
         )
         self._external_counter = self._measurer.external_counter()
+        hop = self._options.hop_latency
         for name, runtime in self._operators.items():
             runtime.service_acc = self._measurer.service_accumulator(name)
             runtime.service_rng = self._service_rngs[name]
@@ -551,7 +516,7 @@ class TopologyRuntime:
                 runtime.service_random = runtime.service_rng.random
                 runtime.service_rate = service_dist.rate
             runtime.out_routes = tuple(
-                _Route(edge, self._operators[edge.target], self._measurer)
+                _Route(edge, self._operators[edge.target], self._measurer, hop)
                 for edge in topology.out_edges(name)
             )
         self._spout_sources: List[_SpoutSource] = [
@@ -560,20 +525,12 @@ class TopologyRuntime:
                 self._spout_rngs[name],
                 self._arrival_processes[name],
                 tuple(
-                    _Route(edge, self._operators[edge.target], self._measurer)
+                    _Route(edge, self._operators[edge.target], self._measurer, hop)
                     for edge in topology.out_edges(name)
                 ),
             )
             for name in topology.spouts
         ]
-        # Legacy transport: one constant delay on every route; a
-        # platform (bound below) overwrites it with per-route link costs.
-        for routes in (
-            *(source.routes for source in self._spout_sources),
-            *(op.out_routes for op in self._operators.values()),
-        ):
-            for route in routes:
-                route.transfer = self._options.hop_latency
 
         self._tracker = TupleTreeTracker(on_complete=self._on_tree_complete)
         # The tracker never reassigns its root table; cache it (and the
@@ -595,61 +552,17 @@ class TopologyRuntime:
         self._reports: List[MeasurementReport] = []
         self.on_measurement: Optional[Callable[[MeasurementReport], None]] = None
 
-        # Platform layer: bind placement, per-edge transfer delays,
-        # machine speeds and the churn process.  ``None`` leaves the
-        # legacy hop-constant path untouched byte-for-byte (the golden
-        # suite pins this; the ``platform_off`` benchmark row bounds the
-        # guard's overhead).
-        self._platform = None
-        self._patterns: Dict[str, Tuple[int, ...]] = {}
-        self._machine_up: List[bool] = []
-        self._churn_rng = None
-        self._kind_node = -1
         #: ``(time, machine_name, "down"|"up")`` churn transitions applied.
         self.node_events: List[Tuple[float, str, str]] = []
-        if self._options.platform is not None:
-            binding = self._options.platform.bind(topology, allocation)
-            self._platform = binding
-            self._machine_up = [True] * len(binding.machine_names)
-            self._patterns = binding.patterns_for(allocation)
-            for name, op_runtime in self._operators.items():
-                self._pin_executors(op_runtime, self._patterns[name])
-            self._refresh_transfers()
-            self._churn_rng = rng_factory.stream("churn")
-            self._kind_node = simulator.register_handler(self._on_node_event)
-
-        # Closed-loop clients and backpressure (both off by default; the
-        # default path stays byte-for-byte, pinned by the golden suite).
-        self._cl = self._options.closed_loop
-        self._bp = self._options.backpressure
-        # Admission knobs are optional on duck-typed sources.
-        self._cl_admission = getattr(self._cl, "admission_latency", None)
-        self._cl_alpha = getattr(self._cl, "admission_alpha", 0.2)
-        self._cl_clients: List[_ClientState] = []
-        if self._cl is not None:
-            for source in self._spout_sources:
-                for _ in range(self._cl.clients):
-                    self._cl_clients.append(_ClientState(source))
-        self._cl_roots: Dict[int, _ClientState] = {}
-        self._latency_ewma: Optional[float] = None
-        self._issued_requests = 0
-        self._admission_rejected = 0
-        self._blocked_time = 0.0
-        #: Sources/clients currently paused by backpressure, FIFO.
-        self._bp_waiters: List[Any] = []
-        if self._bp:
-            preds: Dict[str, List[_OperatorRuntime]] = {
-                name: [] for name in self._operators
-            }
-            for name, op_runtime in self._operators.items():
-                for route in op_runtime.out_routes:
-                    preds[route.op.name].append(op_runtime)
-            for name, op_runtime in self._operators.items():
-                op_runtime.bp_preds = tuple(preds[name])
 
         # Hot-path constants, prebound RNG methods and typed-event kinds.
-        self._het = self._platform is not None
         self._queue_limit = self._options.queue_limit
+        # Hooks a feature may replace: what a tuple meeting a queue of
+        # ``_overflow_at`` tuples does (True: consumed), and what a tree
+        # leaving the system releases (sojourn ``None``: dropped).
+        self._overflow_at = self._queue_limit
+        self._overflow: Callable[[_OperatorRuntime, dict], bool] = self._drop_overflow
+        self._root_exit: Callable[[int, Optional[float]], None] = lambda root, sojourn: None
         self._pull_interval = self._options.measurement.pull_interval
         self._fanout_random = self._fanout_rng.random
         self._route_randrange = self._route_rng.randrange
@@ -657,7 +570,19 @@ class TopologyRuntime:
         self._kind_hop = simulator.register_handler(self._on_hop)
         self._kind_finish = simulator.register_handler(self._on_finish)
         self._kind_tick = simulator.register_handler(self._on_tick)
-        self._kind_client = simulator.register_handler(self._on_client)
+
+        # Opt-in features (repro.sim.features); each binds its own hooks.
+        options = self._options
+        self._platform: Optional[Platform] = None
+        self._backpressure: Optional[Backpressure] = None
+        self._clients: Optional[ClosedLoopClients] = None
+        if options.platform is not None:
+            churn_rng = rng_factory.stream("churn")
+            self._platform = Platform(self, options.platform, allocation, churn_rng)
+        if options.backpressure:
+            self._backpressure = Backpressure(self, options.queue_limit)
+        if options.closed_loop is not None:
+            self._clients = ClosedLoopClients(self, options.closed_loop)
 
     # ------------------------------------------------------------------
     # public accessors
@@ -683,10 +608,6 @@ class TopologyRuntime:
         return self._measurer
 
     @property
-    def tracker(self) -> TupleTreeTracker:
-        return self._tracker
-
-    @property
     def paused(self) -> bool:
         return self._paused
 
@@ -700,37 +621,6 @@ class TopologyRuntime:
         """(completion_time, sojourn) of every completed tree."""
         return list(zip(self._completion_times, self._completion_sojourns))
 
-    @property
-    def issued_requests(self) -> int:
-        """Closed-loop requests attempted (admitted + rejected)."""
-        return self._issued_requests
-
-    @property
-    def admission_rejected(self) -> int:
-        """Closed-loop requests refused by the admission controller."""
-        return self._admission_rejected
-
-    @property
-    def blocked_time(self) -> float:
-        """Total simulated time sources/clients spent backpressure-paused.
-
-        Includes the still-open blocked intervals of currently paused
-        sources, so the value is exact at any point mid-run.
-        """
-        blocked = self._blocked_time
-        if self._bp_waiters:
-            now = self._sim.now
-            for waiter in self._bp_waiters:
-                since = waiter.blocked_since
-                if since is not None:
-                    blocked += now - since
-        return blocked
-
-    @property
-    def client_outstanding(self) -> Tuple[int, ...]:
-        """Per-client in-flight request counts (closed-loop runs only)."""
-        return tuple(client.outstanding for client in self._cl_clients)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -740,27 +630,15 @@ class TopologyRuntime:
             raise SimulationError("runtime already started")
         self._started = True
         sim = self._sim
-        if self._cl is None:
+        if self._clients is None:
             for source in self._spout_sources:
                 gap = source.next_gap(sim.now, source.rng)
                 sim.schedule_event(gap, self._kind_spout, source)
         else:
-            # Closed loop: every client starts thinking; its first
-            # request arrives after one think interval (drawn from the
-            # spout's RNG stream, in client order, so runs stay
-            # deterministic per seed).
-            for client in self._cl_clients:
-                gap = self._cl.think_gap(client.source.rng)
-                sim.schedule_event(gap, self._kind_client, client)
+            self._clients.start()
         sim.schedule_event(self._pull_interval, self._kind_tick)
         if self._platform is not None:
-            seeds = self._platform.failure.initial_events(
-                self._platform.machine_names, self._churn_rng
-            )
-            for delay, machine, goes_down in seeds:
-                sim.schedule_event(
-                    delay, self._kind_node, machine, 1 if goes_down else 0
-                )
+            self._platform.start()
 
     def apply_allocation(
         self,
@@ -802,13 +680,7 @@ class TopologyRuntime:
             for name, runtime in self._operators.items():
                 runtime.set_executors(new_allocation[name])
             if self._platform is not None:
-                self._patterns = self._platform.patterns_for(new_allocation)
-                for name, runtime in self._operators.items():
-                    pattern = self._alive_pattern(name)
-                    if len(pattern) != len(runtime.executors):
-                        runtime.set_executors(len(pattern))
-                    self._pin_executors(runtime, pattern)
-                self._refresh_transfers()
+                self._platform.rebind(new_allocation)
             self._paused = False
             for runtime in self._operators.values():
                 held = list(runtime.held)
@@ -816,10 +688,10 @@ class TopologyRuntime:
                 runtime.queued -= len(held)
                 for payload in held:
                     self._deliver(runtime, payload, None)
-            if self._bp:
+            if self._backpressure is not None:
                 # Queue depths moved arbitrarily during redistribution;
                 # re-derive every full flag and wake what drained.
-                self._bp_sync()
+                self._backpressure.sync()
             # Old smoothed metrics describe the previous configuration.
             self._measurer.reset_smoothing()
 
@@ -832,6 +704,7 @@ class TopologyRuntime:
     def stats(self, *, warmup: float = 0.0) -> RunStats:
         """Aggregate results, ignoring completions before ``warmup``."""
         mean, std, p95 = self._window_summary(warmup)
+        clients = self._clients
         return RunStats(
             duration=self._sim.now,
             external_tuples=self._external_tuples,
@@ -860,11 +733,13 @@ class TopologyRuntime:
                 for name, runtime in self._operators.items()
             },
             rebalances=self._rebalances,
-            blocked_time=self.blocked_time,
-            admission_rejected=self._admission_rejected,
-            issued_requests=(
-                self._issued_requests if self._cl is not None else None
+            blocked_time=(
+                self._backpressure.blocked_time
+                if self._backpressure is not None
+                else 0.0
             ),
+            admission_rejected=clients.rejected if clients is not None else 0,
+            issued_requests=clients.issued if clients is not None else None,
         )
 
     def _window_summary(self, warmup: float) -> tuple:
@@ -943,9 +818,8 @@ class TopologyRuntime:
     def check_conservation(self) -> None:
         """Every tracked tree is completed, in flight, or dropped.
 
-        Closed-loop runs add two identities: every issued request was
-        either admitted (became an external tuple) or rejected, and the
-        clients' in-flight counts agree with the root table.
+        Closed-loop runs add the clients' own identities
+        (:meth:`ClosedLoopClients.check_conservation`).
         """
         accounted = self._tracker.completed + self._tracker.in_flight
         accounted += self._tracker.dropped
@@ -954,22 +828,8 @@ class TopologyRuntime:
                 f"conservation violated: {self._external_tuples} external"
                 f" tuples but {accounted} accounted for"
             )
-        if self._cl is not None:
-            admitted = self._issued_requests - self._admission_rejected
-            if admitted != self._external_tuples:
-                raise SimulationError(
-                    f"closed-loop conservation violated:"
-                    f" {self._issued_requests} issued -"
-                    f" {self._admission_rejected} rejected !="
-                    f" {self._external_tuples} external tuples"
-                )
-            outstanding = sum(c.outstanding for c in self._cl_clients)
-            if outstanding != len(self._cl_roots):
-                raise SimulationError(
-                    f"closed-loop conservation violated: clients hold"
-                    f" {outstanding} outstanding requests but"
-                    f" {len(self._cl_roots)} roots are mapped"
-                )
+        if self._clients is not None:
+            self._clients.check_conservation(self._external_tuples)
 
     # ------------------------------------------------------------------
     # typed-event handlers (the hot path)
@@ -1033,21 +893,15 @@ class TopologyRuntime:
                 else:
                     self._deliver(op, payload, sel)
 
-    def _inject(self, routes, now: float, client=None) -> None:
-        """Admit one external tuple: register its tree root, emit it
-        along ``routes``, then complete the root itself.
-
-        A closed-loop ``client`` holds the root (and an outstanding
-        slot) *before* the emission, so a queue-limit drop during it
-        releases the client the same way a completion does."""
+    def _inject(self, routes, now: float) -> None:
+        """Admit one external tuple: register its tree root (numbered
+        ``_root_counter``), emit it along ``routes``, then complete the
+        root itself."""
         root_id = self._root_counter
         self._root_counter = root_id + 1
         self._external_tuples += 1
         tracker = self._tracker
         tracker.register_root(root_id, now)
-        if client is not None:
-            self._cl_roots[root_id] = client
-            client.outstanding += 1
         self._emit_tuples(routes, {"root": root_id}, root_id, True)
         # The root "tuple" itself needs no processing once emitted.
         tracker.complete_one(root_id, now)
@@ -1057,12 +911,11 @@ class TopologyRuntime:
         schedule the next arrival of this spout."""
         sim = self._sim
         now = sim._now
-        if self._bp and self._routes_full(source.routes):
+        if source.full_routes:
             # A downstream queue is full: pause the source.  The next
             # arrival is *not* scheduled — the deferred emission (and
             # the gap after it) resume when the queue drains.
-            source.blocked_since = now
-            self._bp_waiters.append(source)
+            self._backpressure.park(source, self._on_spout, source)
             return
         self._inject(source.routes, now)
         gap = source.next_gap(sim._now, source.rng)
@@ -1071,65 +924,6 @@ class TopologyRuntime:
     def _on_hop(self, route: _Route, payload: dict) -> None:
         """A tuple arrives at its target after a non-zero hop delay."""
         self._deliver(route.op, payload, route.sel)
-
-    # ------------------------------------------------------------------
-    # closed-loop clients
-    # ------------------------------------------------------------------
-    def _on_client(self, client: _ClientState, _unused) -> None:
-        """A client finished thinking: try to issue its next request."""
-        self._client_try_issue(client)
-
-    def _client_try_issue(self, client: _ClientState) -> None:
-        """Issue now, or park the client on whatever is in the way.
-
-        A client at its outstanding cap waits for one of its requests
-        to come back (``waiting``); under backpressure a client whose
-        spout routes hit a full queue pauses with the other waiters.
-        Parked clients have no pending think event — the release path
-        issues for them directly.
-        """
-        if client.outstanding >= self._cl.max_outstanding:
-            client.waiting = True
-            return
-        if self._bp and self._routes_full(client.source.routes):
-            client.blocked_since = self._sim._now
-            self._bp_waiters.append(client)
-            return
-        self._client_issue(client)
-
-    def _client_issue(self, client: _ClientState) -> None:
-        """Emit one request (or reject it) and schedule the next think.
-
-        The admission controller consults the sojourn EWMA *before*
-        emitting: while smoothed latency exceeds the threshold the
-        request is counted as rejected and never enters the topology —
-        the client simply thinks again (a fast retry-after).
-        """
-        source = client.source
-        self._issued_requests += 1
-        admit_at = self._cl_admission
-        if (
-            admit_at is not None
-            and self._latency_ewma is not None
-            and self._latency_ewma > admit_at
-        ):
-            self._admission_rejected += 1
-        else:
-            self._inject(source.routes, self._sim._now, client)
-        gap = self._cl.think_gap(source.rng)
-        self._sim.schedule_event(gap, self._kind_client, client)
-
-    def _cl_release(self, root: int) -> None:
-        """A root left the system (completed or dropped): free its
-        client's slot and, if the client was waiting on the cap, issue
-        its held request immediately.  Idempotent per root."""
-        client = self._cl_roots.pop(root, None)
-        if client is None:
-            return
-        client.outstanding -= 1
-        if client.waiting:
-            client.waiting = False
-            self._client_try_issue(client)
 
     def _on_finish(self, op: _OperatorRuntime, executor: _Executor) -> None:
         """Service completion: emit downstream tuples, then pull the
@@ -1195,11 +989,10 @@ class TopologyRuntime:
         if op.shared:
             self._kick_shared(op)
             return
-        if self._paused:
-            return
-        if self._bp and not self._bp_can_serve(op):
-            # A successor queue is full: leave the executor idle; the
-            # successor's drain wakes this operator's predecessor side.
+        if self._paused or op.full_routes:
+            # Rebalancing, or a successor queue is full: leave the
+            # executor idle (the resume or the successor's drain wakes
+            # it).
             return
         if executor.queue:
             self._begin_service(op, executor)
@@ -1226,26 +1019,15 @@ class TopologyRuntime:
         ``grouping`` is ``None`` for free-choice tuples (shuffle edges
         and rebalance redistribution) and the grouping object otherwise.
         """
-        bp = self._bp
-        limit = self._queue_limit
-        if limit is not None:
-            if op.queued >= limit:
-                if not bp:
-                    self._drop(payload)
-                    return
-                # Backpressure: never drop.  Tuples already in flight
-                # (emitted before the queue filled) still land — the
-                # limit is a signal line, not a hard wall — and the
-                # full flag pauses everything upstream.
-                op.full = True
-            elif bp and op.queued == limit - 1:
-                op.full = True  # this enqueue reaches the limit
+        at = self._overflow_at
+        if at is not None and op.queued >= at and self._overflow(op, payload):
+            return
         if self._paused:
             op.held.append(payload)
             op.queued += 1
             return
         now = self._sim._now
-        can_start = not bp or self._bp_can_serve(op)
+        can_start = not op.full_routes
         if op.shared:
             op.shared_queue.append((payload, now))
             op.queued += 1
@@ -1348,29 +1130,30 @@ class TopologyRuntime:
         # external tuple can never be fully processed.
         root = payload["root"]
         self._tracker.drop_tree(root)
-        if self._cl is not None:
-            self._cl_release(root)
+        self._root_exit(root, None)
 
     def _drop_oversized(self, root: int) -> None:
         """Abandon a tree that outgrew the tracker's size cap.
 
         An exploding tree means an unstable feedback loop: the tree is
-        dropped (and counted, so callers can alert) and its closed-loop
-        client gets its slot back.  No tuple is dropped — copies still
-        in flight are served, they just no longer belong to a tree.
+        dropped (and counted, so callers can alert) and leaves the
+        system like any other.  No tuple is dropped — copies still in
+        flight are served, they just no longer belong to a tree.
         """
         if self._roots.pop(root, None) is not None:
             self._tracker._dropped += 1
-            if self._cl is not None:
-                self._cl_release(root)
+            self._root_exit(root, None)
+
+    def _drop_overflow(self, op: _OperatorRuntime, payload: dict) -> bool:
+        """The default ``_overflow``: a full queue drops the tuple."""
+        self._drop(payload)
+        return True
 
     # ------------------------------------------------------------------
     # bolt side
     # ------------------------------------------------------------------
     def _kick_shared(self, op: _OperatorRuntime) -> None:
-        if self._paused:
-            return
-        if self._bp and not self._bp_can_serve(op):
+        if self._paused or op.full_routes:
             return
         shared_queue = op.shared_queue
         if not shared_queue:
@@ -1415,8 +1198,7 @@ class TopologyRuntime:
             duration = -_log(1.0 - srandom()) / op.service_rate
         else:
             duration = op.sample_service(op.service_rng)
-        if self._het:
-            duration /= executor.speed
+        duration /= executor.speed
         # inline WelfordAccumulator.add (service time)
         ss = op.service_stats
         n = ss._n + 1
@@ -1440,189 +1222,8 @@ class TopologyRuntime:
         seq = sim._seq
         sim._seq = seq + 1
         _heappush(sim._queue, (time, seq, self._kind_finish, op, executor))
-        if self._bp and op.full and op.queued < self._queue_limit:
-            op.full = False
-            self._bp_release(op)
-
-    # ------------------------------------------------------------------
-    # backpressure: full-queue signalling and upstream wake-ups
-    # ------------------------------------------------------------------
-    def _bp_can_serve(self, op: _OperatorRuntime) -> bool:
-        """False while any successor queue of ``op`` is full: starting
-        another service would emit straight into the congestion."""
-        for route in op.out_routes:
-            if route.op.full:
-                return False
-        return True
-
-    def _routes_full(self, routes: Tuple[_Route, ...]) -> bool:
-        """True when any emission target of these routes is full."""
-        for route in routes:
-            if route.op.full:
-                return True
-        return False
-
-    def _bp_release(self, op: _OperatorRuntime) -> None:
-        """``op``'s queue just drained below the limit: restart idle
-        predecessor executors and retry paused sources/clients.
-
-        Processing order (predecessors in precomputed tuple order, then
-        waiters FIFO) is deterministic; a waiter whose targets refilled
-        meanwhile re-parks with its original blocked timestamp.
-        """
-        for pred in op.bp_preds:
-            if not self._bp_can_serve(pred):
-                continue  # still gated by another full successor
-            if pred.shared:
-                self._kick_shared(pred)
-                continue
-            for executor in pred.executors:
-                if not executor.busy and executor.queue:
-                    self._begin_service(pred, executor)
-        if self._bp_waiters:
-            waiters = self._bp_waiters
-            self._bp_waiters = []
-            for waiter in waiters:
-                self._bp_retry(waiter)
-
-    def _bp_retry(self, waiter: Any) -> None:
-        """Resume one paused source/client, or re-park it."""
-        if self._routes_full(
-            waiter.routes
-            if isinstance(waiter, _SpoutSource)
-            else waiter.source.routes
-        ):
-            self._bp_waiters.append(waiter)
-            return
-        now = self._sim._now
-        since = waiter.blocked_since
-        if since is not None:
-            self._blocked_time += now - since
-            waiter.blocked_since = None
-        if isinstance(waiter, _SpoutSource):
-            # Emit the arrival that was deferred when the source
-            # paused, then resume the arrival process from now.
-            self._inject(waiter.routes, now)
-            gap = waiter.next_gap(now, waiter.rng)
-            self._sim.schedule_event(gap, self._kind_spout, waiter)
-        else:
-            self._client_issue(waiter)
-
-    def _bp_sync(self) -> None:
-        """Re-derive every full flag from current queue depths (after a
-        rebalance or churn resize moved tuples wholesale) and run the
-        release path for queues that drained."""
-        limit = self._queue_limit
-        drained: List[_OperatorRuntime] = []
-        for op_runtime in self._operators.values():
-            full = op_runtime.queued >= limit
-            if op_runtime.full and not full:
-                drained.append(op_runtime)
-            op_runtime.full = full
-        for op_runtime in drained:
-            self._bp_release(op_runtime)
-
-    # ------------------------------------------------------------------
-    # platform: placement, transfers and churn
-    # ------------------------------------------------------------------
-    def _pin_executors(
-        self, op: _OperatorRuntime, pattern: Tuple[int, ...]
-    ) -> None:
-        """Bind each of ``op``'s freshly built executors to its machine
-        (index + speed)."""
-        speeds = self._platform.machine_speeds
-        for executor, machine in zip(op.executors, pattern):
-            executor.machine = machine
-            executor.speed = speeds[machine]
-
-    def _alive_pattern(self, name: str) -> Tuple[int, ...]:
-        """The operator's placement restricted to machines that are up.
-
-        Falls back to the full pattern when every hosting machine is
-        down: the operator keeps serving on the (nominally dead)
-        machines — degraded realism, but routing never deadlocks.
-        """
-        pattern = self._patterns[name]
-        up = self._machine_up
-        alive = tuple(m for m in pattern if up[m])
-        return alive if alive else pattern
-
-    def _refresh_transfers(self) -> None:
-        """Recompute each route's expected transfer delay.
-
-        A route's delay is the mean link cost over the alive placement
-        pairs of its source and target operators (spout routes use the
-        ingress machine as source).  Recomputed after placement changes:
-        start-up, rebalance, node churn.
-        """
-        binding = self._platform
-        matrix = binding.transfer
-        ingress = (binding.ingress,)
-        for source in self._spout_sources:
-            for route in source.routes:
-                route.transfer = _mean_transfer(
-                    matrix, ingress, self._alive_pattern(route.op.name)
-                )
-        for name, op in self._operators.items():
-            sources = self._alive_pattern(name)
-            for route in op.out_routes:
-                route.transfer = _mean_transfer(
-                    matrix, sources, self._alive_pattern(route.op.name)
-                )
-
-    def _on_node_event(self, machine: int, flag: int) -> None:
-        """Apply a ``node_down`` / ``node_up`` transition for ``machine``.
-
-        Down: executors on the machine vanish — their queued tuples are
-        redelivered to survivors (or dropped by the queue-limit / no-
-        survivor machinery) and any in-service tuple dies when its
-        finish event fires (``executor.dead``).  Up: the machine rejoins
-        and placements grow back.  During a rebalance pause the
-        transition retries shortly after, mirroring how real clusters
-        serialise membership changes behind a rebalance.
-        """
-        sim = self._sim
-        down = bool(flag)
-        if self._paused:
-            sim.schedule_event(_CHURN_RETRY, self._kind_node, machine, flag)
-            return
-        up = self._machine_up
-        if up[machine] == down:  # a genuine state flip
-            up[machine] = not down
-            self.node_events.append(
-                (
-                    sim._now,
-                    self._platform.machine_names[machine],
-                    "down" if down else "up",
-                )
-            )
-            if down:
-                for op in self._operators.values():
-                    for executor in op.executors:
-                        if executor.busy and executor.machine == machine:
-                            executor.dead = True
-            redeliveries = []
-            for name, op in self._operators.items():
-                if machine not in self._patterns[name]:
-                    continue
-                pattern = self._alive_pattern(name)
-                displaced = op.resize(len(pattern))
-                self._pin_executors(op, pattern)
-                if displaced:
-                    redeliveries.append((op, displaced))
-            self._refresh_transfers()
-            for op, displaced in redeliveries:
-                for payload in displaced:
-                    self._deliver(op, payload, None)
-            if self._bp:
-                self._bp_sync()
-        delay = self._platform.failure.next_delay(
-            machine, down, self._churn_rng
-        )
-        if delay is not None:
-            sim.schedule_event(
-                delay, self._kind_node, machine, 0 if down else 1
-            )
+        if op.full and op.queued < self._queue_limit:
+            self._backpressure.drained(op)
 
     # ------------------------------------------------------------------
     # measurement
@@ -1631,17 +1232,7 @@ class TopologyRuntime:
         self._measurer.record_sojourn(sojourn)
         self._completion_times.append(self._sim.now)
         self._completion_sojourns.append(sojourn)
-        if self._cl is not None:
-            # Feed the admission controller's latency EWMA, then give
-            # the client its slot back (possibly issuing immediately).
-            alpha = self._cl_alpha
-            ewma = self._latency_ewma
-            self._latency_ewma = (
-                sojourn
-                if ewma is None
-                else alpha * sojourn + (1.0 - alpha) * ewma
-            )
-            self._cl_release(root_id)
+        self._root_exit(root_id, sojourn)
 
     def __repr__(self) -> str:
         return (

@@ -138,7 +138,18 @@ class Trace:
         try:
             text = path.read_text()
         except OSError as exc:
-            raise ConfigurationError(f"cannot read trace {path}: {exc}") from None
+            # The stored path is part of the spec's content address, so
+            # it is never rewritten; say where a relative one was looked
+            # for instead.
+            where = f"tried {path.absolute()}"
+            if not path.is_absolute():
+                where += (
+                    "; relative trace paths resolve against the working"
+                    f" directory {Path.cwd()}, not the spec file's"
+                )
+            raise ConfigurationError(
+                f"cannot read trace {path} ({where}): {exc.strerror or exc}"
+            ) from None
         return parser(text, source=str(path))
 
     # ------------------------------------------------------------------

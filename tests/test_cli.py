@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -155,6 +157,23 @@ class TestExecution:
     def test_run_scenario_missing_file(self):
         with pytest.raises(SystemExit):
             main(["run-scenario", "/does/not/exist.json"])
+
+    def test_trace_path_resolves_against_working_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The shipped trace scenario names its trace relative to the
+        repository root; run from elsewhere, the error says which file
+        was tried and which directory it was resolved against."""
+        spec = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "examples" / "scenarios" / "trace_replay.json"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["run-scenario", str(spec), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        tried = tmp_path.resolve() / "examples" / "traces" / "flash_crowd.csv"
+        assert f"tried {tried}" in err
+        assert f"working directory {tmp_path.resolve()}" in err
 
 
 class TestCampaignCommands:

@@ -140,8 +140,8 @@ class TestInvariants:
         runtime.start()
         for stop in range(5, 41, 5):
             sim.run_until(float(stop))
-            assert all(c <= cap for c in runtime.client_outstanding)
-        runtime.check_conservation()
+            # Conservation includes "no client holds more than its cap".
+            runtime.check_conservation()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -161,12 +161,12 @@ class TestInvariants:
             queue_limit=4,
             closed_loop=create_closed_loop_source(params),
         )
-        runtime = _run(options, duration=40.0)
-        tracker = runtime.tracker
-        admitted = runtime.issued_requests - runtime.admission_rejected
-        assert admitted == (
-            tracker.completed + tracker.in_flight + tracker.dropped
-        )
+        # _run's check_conservation ties the external tuples to the
+        # completed, in-flight and dropped trees.
+        stats = _run(options, duration=40.0).stats()
+        admitted = stats.issued_requests - stats.admission_rejected
+        assert admitted == stats.external_tuples
+        assert stats.completed_trees + stats.dropped_trees <= admitted
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -183,7 +183,7 @@ class TestInvariants:
         open_run = _run(
             RuntimeOptions(seed=seed, closed_loop=source), duration=30.0
         )
-        assert open_run.blocked_time == 0.0
+        assert open_run.stats().blocked_time == 0.0
         # Tight bound + backpressure: blocking may occur, never negative.
         bounded = _run(
             RuntimeOptions(
@@ -192,7 +192,7 @@ class TestInvariants:
             ),
             duration=30.0,
         )
-        assert bounded.blocked_time >= 0.0
+        assert bounded.stats().blocked_time >= 0.0
 
 
 # ----------------------------------------------------------------------
@@ -242,13 +242,13 @@ class TestTreeCapReleasesClient:
     def test_capped_trees_release_their_client(
         self, monkeypatch, grouping, gain
     ):
-        runtime = self._run_capped(monkeypatch, grouping, gain)
+        stats = self._run_capped(monkeypatch, grouping, gain).stats()
         # Every tree outgrows the cap, so none completes ...
-        assert runtime.tracker.completed == 0
-        assert runtime.tracker.dropped >= runtime.issued_requests - 1
+        assert stats.completed_trees == 0
+        assert stats.dropped_trees >= stats.issued_requests - 1
         # ... yet the client keeps issuing: ~2 requests per simulated
         # second at a 0.5 s think time, not one request and a hang.
-        assert runtime.issued_requests > 30
+        assert stats.issued_requests > 30
 
 
 # ----------------------------------------------------------------------
@@ -329,10 +329,10 @@ def _golden_case(variant: str) -> dict:
     return {
         "completions_sha256": _completions_digest(runtime),
         "num_completions": len(runtime.completions),
-        "issued_requests": runtime.issued_requests,
-        "admission_rejected": runtime.admission_rejected,
-        "blocked_time": repr(runtime.blocked_time),
-        "dropped_trees": runtime.tracker.dropped,
+        "issued_requests": stats.issued_requests,
+        "admission_rejected": stats.admission_rejected,
+        "blocked_time": repr(stats.blocked_time),
+        "dropped_trees": stats.dropped_trees,
         "mean_sojourn": repr(stats.mean_sojourn),
         "p95_sojourn": repr(stats.p95_sojourn),
         "processed_events": runtime.simulator.processed_events,

@@ -49,20 +49,6 @@ class TestClusterCapacity:
         assert cluster.num_running == 1
         assert cluster.bolt_capacity == 2
 
-    def test_placement_fills_machines_in_order(self):
-        cluster = Cluster(5, 3)
-        for _ in range(2):
-            cluster.add_machine().mark_running(0.0)
-        placement = cluster.placement(7)
-        # Machine 0 hosts 3 reserved + 2 bolts, machine 1 hosts 5 bolts.
-        assert placement == {0: 2, 1: 5}
-
-    def test_placement_overflow_rejected(self):
-        cluster = Cluster(5, 3)
-        cluster.add_machine().mark_running(0.0)
-        with pytest.raises(NegotiationError):
-            cluster.placement(3)
-
     def test_remove_stopped(self):
         cluster = Cluster(5, 3)
         machine = cluster.add_machine()

@@ -90,7 +90,7 @@ class TestSegmentedStore:
         store.put(spec, digest, 5, result, campaign="c", cell="l")
         assert store.load(digest, 5) == result
         assert store.has(digest, 5)
-        assert store.count(digest) == 1
+        assert store.refresh() == 1  # one indexed record
         # One segment file, no per-replication files.
         assert [p.name for p in (tmp_path / "segments").glob("*.ndjson")] == [
             "w0.ndjson"
@@ -116,9 +116,10 @@ class TestSegmentedStore:
         classic.put(spec, digest, 7, make_result(seed=7))
         segmented = SegmentedResultStore(tmp_path)
         assert segmented.load(digest, 7) is not None
-        # And mixed layouts iterate merged, in seed order.
+        # And a segment record sits beside the classic one.
         segmented.put(spec, digest, 3, make_result(seed=3))
-        assert [seed for seed, _ in segmented.iter_records(digest)] == [3, 7]
+        assert segmented.load_record(digest, 3)["seed"] == 3
+        assert segmented.load_record(digest, 7)["seed"] == 7
 
     def test_torn_trailing_line_skipped(self, tmp_path):
         spec = sample_spec()
@@ -130,7 +131,7 @@ class TestSegmentedStore:
             handle.write('{"version": 1, "spec_hash": "' + digest)  # torn
         fresh = SegmentedResultStore(tmp_path, segment="w1")
         assert fresh.load(digest, 5) is not None  # intact line survives
-        assert fresh.segment_record_count() == 1
+        assert fresh.refresh() == 1  # the torn line is not indexed
 
     def test_malformed_segment_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -187,8 +188,7 @@ class TestSegmentIndex:
             handle.write(json.dumps(hand, separators=(",", ":")) + "\n")
         eager = _eager_index(tmp_path)
         for store in (SegmentedResultStore(tmp_path, segment="r"), w0, w1):
-            store.refresh()
-            assert store.segment_record_count() == len(eager) == 7
+            assert store.refresh() == len(eager) == 7
             for (spec_hash, seed), record in eager.items():
                 assert store.load_record(spec_hash, seed) == record
         assert eager[(digest, 1)]["cell"] == "again"  # later line wins
@@ -245,7 +245,7 @@ class TestSegmentIndex:
         writer.put(spec, digest, 6, make_result(seed=6))
         writer.close()
         reader = SegmentedResultStore(tmp_path, segment="r")
-        assert reader.segment_record_count() == 2
+        assert reader.refresh() == 2
         with open(writer.segment_path, "r+b") as handle:
             handle.truncate(keep)
         assert reader.refresh() == 1
@@ -266,7 +266,7 @@ class TestSegmentIndex:
         lines[victim] = lines[victim].replace('"result": {', '"result": {{', 1)
         segment.write_text("".join(lines))
         store = SegmentedResultStore(tmp_path, segment="r")
-        assert store.segment_record_count() == 4  # the tail still parses
+        assert store.refresh() == 4  # the tail still parses
         assert store.load_record(key["spec_hash"], key["seed"]) is None
         runner = CampaignRunner(store, max_workers=1)
         assert runner.plan(campaign).to_compute == 1
@@ -339,7 +339,7 @@ class TestSegmentIndex:
         def read():
             for _ in range(100):
                 store.refresh()
-                store.count(digest)
+                store.load_record(digest, 0)
 
         threads = [
             threading.Thread(target=write, args=(100 * i,)) for i in range(6)
@@ -355,11 +355,14 @@ class TestSegmentIndex:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert store.refresh() == store.count(digest) == 240
+        assert store.refresh() == 240
+        assert all(
+            store.load_record(digest, 100 * i + j) for i in range(6) for j in range(40)
+        )
         lines = store.segment_path.read_text().splitlines()
         assert len(lines) == 241  # one spec line, 240 records
         assert all(json.loads(line) for line in lines)
-        assert SegmentedResultStore(tmp_path, segment="r").count(digest) == 240
+        assert SegmentedResultStore(tmp_path, segment="r").refresh() == 240
 
     def test_dropped_store_leaks_no_descriptor(self, tmp_path):
         import gc
@@ -395,7 +398,8 @@ class TestCompactStore:
         # Buckets are gone, segments hold everything.
         assert not (tmp_path / digest[:2]).exists()
         store = SegmentedResultStore(tmp_path)
-        assert [seed for seed, _ in store.iter_records(digest)] == [3, 5]
+        assert store.refresh() == 2
+        assert [store.load_record(digest, seed)["seed"] for seed in (3, 5)] == [3, 5]
 
     def test_compact_is_idempotent(self, tmp_path):
         spec = sample_spec()
@@ -494,8 +498,7 @@ class TestShardedRunner:
         with pytest.raises(CampaignCancelled):
             api.run_campaign(campaign, store=tmp_path, shards=2, cancel=event)
         store = SegmentedResultStore(tmp_path, segment="coordinator")
-        for cell in campaign.expand():
-            assert store.count(cell.spec_hash) == 0
+        assert store.refresh() == 0  # no record of any cell
 
 
 def _seed_shape_corrupted_record(root, campaign):
