@@ -23,8 +23,10 @@ and under which committed envelope.
 
 Evaluator state is memoized across neighboring cells: predictions are
 keyed by the (frozen, hashable) :class:`~repro.apps.fidelity.
-FidelityWorkload`, and the per-operator Erlang recurrence is carried
-forward along ascending server counts
+FidelityWorkload`; their traffic solve, which reads no SCV, is shared
+by every cell with the same rates (``networks`` of
+:func:`~repro.fidelity.analytic.predict`); and the per-operator Erlang
+recurrence is carried forward along ascending server counts
 (:meth:`~repro.queueing.erlang.ErlangMarginalEvaluator.advance_to`), so
 a k-sweep costs one warm-up instead of one O(k) Erlang-B per cell.
 """
@@ -54,6 +56,7 @@ from repro.campaigns.store import record_path
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fidelity.analytic import AnalyticPrediction
     from repro.fidelity.manifest import ToleranceManifest
+    from repro.queueing.jackson import JacksonNetwork
 
 # :mod:`repro.fidelity` is imported lazily inside the methods that need
 # it: its package __init__ pulls the audit, which imports the campaign
@@ -173,6 +176,7 @@ class AnalyticCellEvaluator:
         # Memoized evaluator state, reused across neighboring cells in
         # sweep order (the whole point of answering cells centrally).
         self._predictions: Dict[FidelityWorkload, AnalyticPrediction] = {}
+        self._networks: Dict[Tuple, JacksonNetwork] = {}
         self._erlang: Dict[Tuple[float, float], ErlangMarginalEvaluator] = {}
         self._decisions: Dict[Tuple, AnalyticDecision] = {}
 
@@ -404,7 +408,7 @@ class AnalyticCellEvaluator:
 
         cached = self._predictions.get(workload)
         if cached is None:
-            cached = predict(workload)
+            cached = predict(workload, networks=self._networks)
             self._predictions[workload] = cached
         return cached
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaigns.hybrid import (
@@ -488,9 +488,16 @@ class CampaignRunner:
     ) -> Dict[_Key, ReplicationResult]:
         """Answer the analytic-path jobs inline, with provenance.
 
-        Runs in the coordinating process — each answer is a handful of
-        cached float operations, so no pool (or shard worker) should
-        ever see these jobs.
+        Runs in the coordinating process — an answer is a handful of
+        memoized float operations, so no pool (or shard worker) should
+        ever see these jobs.  A cell's replications share one answer:
+        the model's stationary expectations do not depend on the seed.
+        So each cell (spec hash) is evaluated once, for its first
+        uncached replication, and every other replication gets that
+        result under its own ``index`` and ``seed``; the provenance
+        dict is built once per cell too.  Jobs are answered and stored
+        in plan order, so the records match a per-replication run byte
+        for byte.
         """
         computed: Dict[_Key, ReplicationResult] = {}
         if not planned.analytic:
@@ -499,8 +506,17 @@ class CampaignRunner:
         evaluator = planned.evaluator
         assert evaluator is not None  # jobs only exist with an evaluator
         label_by_hash = {c.spec_hash: c.label for c in planned.cells}
+        answers: Dict[str, Tuple[ReplicationResult, Dict]] = {}
         for spec_hash, seed, spec, index in planned.analytic:
-            result = evaluator.evaluate(spec, index)
+            answer = answers.get(spec_hash)
+            if answer is None:
+                answer = answers[spec_hash] = (
+                    evaluator.evaluate(spec, index),
+                    evaluator.provenance(planned.decisions[spec_hash]),
+                )
+                result = answer[0]
+            else:
+                result = replace(answer[0], index=index, seed=seed)
             computed[(spec_hash, seed)] = result
             if self._store is not None:
                 self._store.put(
@@ -511,9 +527,7 @@ class CampaignRunner:
                     campaign=campaign.name,
                     cell=label_by_hash.get(spec_hash, ""),
                     path="analytic",
-                    provenance=evaluator.provenance(
-                        planned.decisions[spec_hash]
-                    ),
+                    provenance=answer[1],
                 )
         return computed
 

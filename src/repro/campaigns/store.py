@@ -82,13 +82,16 @@ def write_json_atomic(path: Path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` as sorted-key JSON, atomically: a temp file in
     the same directory, then ``os.replace`` — readers see the old file
     or the new one, never a torn one.  Store records and job-queue
-    records both go through here."""
+    records both go through here.  The text is encoded in one
+    ``json.dumps`` call: ``json.dump`` to a file takes the stdlib's
+    pure-Python encoder, several times slower for the same bytes."""
+    text = json.dumps(payload, sort_keys=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:

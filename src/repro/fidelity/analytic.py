@@ -28,18 +28,25 @@ tolerance manifest documents rather than hides):
 - non-exponential service: per-operator waits follow Allen-Cunneen only
   approximately, and downstream arrival processes are no longer Poisson;
 - the p95 bound: a planning bound, not an estimator (see its docstring).
+
+The traffic solve (building the topology and its
+:class:`~repro.queueing.jackson.JacksonNetwork`) does not depend on the
+service SCV, so :func:`predict` can share it across calls: the hybrid
+campaign path (:mod:`repro.campaigns.hybrid`) pays it once per distinct
+rate structure instead of once per cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
-from repro.apps.fidelity import FidelityWorkload
+from repro.apps.fidelity import FidelityWorkload, service_distribution
 from repro.model.performance import PerformanceModel
 from repro.model.refined import RefinedPerformanceModel
 from repro.queueing import mgk
+from repro.queueing.jackson import JacksonNetwork
 from repro.scheduler.percentile import sojourn_quantile_bound
 
 
@@ -65,13 +72,43 @@ class AnalyticPrediction:
         }
 
 
-def predict(workload: FidelityWorkload, *, q: float = 0.95) -> AnalyticPrediction:
-    """Analytic predictions for ``workload`` at its own allocation."""
-    topology = workload.build()
-    refined = RefinedPerformanceModel.from_topology(topology)
+def predict(
+    workload: FidelityWorkload,
+    *,
+    q: float = 0.95,
+    networks: Optional[Dict[Tuple, JacksonNetwork]] = None,
+) -> AnalyticPrediction:
+    """Analytic predictions for ``workload`` at its own allocation.
+
+    ``networks`` memoizes the traffic solve across calls.  Its key
+    holds every input the solve reads: the topology shape
+    (``topology``, ``branches``, ``feedback``), the external rate and
+    the per-operator service rate.  That rate is the one the topology
+    carries, ``1 / mean`` of the cell's service law, not ``mu``: a
+    gamma, hyperexponential or Pareto law's mean can miss ``1 / mu`` in
+    the last bit, and sharing a solve across such laws would move the
+    answer.  Without ``networks`` the solve is computed fresh.
+    """
+    service_time = service_distribution(
+        workload.mu, workload.scv, workload.service_family
+    )
+    key = (
+        workload.topology,
+        workload.branches,
+        workload.feedback,
+        workload.external_rate,
+        1.0 / service_time.mean,
+    )
+    network = networks.get(key) if networks is not None else None
+    if network is None:
+        network = JacksonNetwork.from_topology(workload.build())
+        if networks is not None:
+            networks[key] = network
+    refined = RefinedPerformanceModel(
+        network, service_scvs=[service_time.scv] * network.num_operators
+    )
     plain = refined.plain()
-    network = refined.network
-    allocation = [workload.servers] * len(workload.operator_names)
+    allocation = [workload.servers] * network.num_operators
 
     mean_refined = refined.expected_sojourn(allocation)
     mean_mmk = plain.expected_sojourn(allocation)

@@ -270,7 +270,14 @@ class Backpressure:
     def sync(self) -> None:
         """Re-derive every full flag from current queue depths (after a
         rebalance or churn resize moved tuples wholesale) and run the
-        release path for queues that drained."""
+        release path for queues that drained.
+
+        Redelivery re-marks the queues it refills, but not a queue it
+        leaves alone: a broadcast delivery marks its queue full only
+        when the queue already sits one below the limit, so several
+        copies can push it past the limit unmarked, and a churn
+        transition redelivers only the operators on the flipped
+        machine.  Such a flag is set here."""
         limit = self._limit
         drained = []
         for op in self._rt._operators.values():
@@ -303,6 +310,9 @@ class ClosedLoopClients:
     spout's routes), and keeps at most ``max_outstanding`` in flight.
     With ``admission_latency`` set, a request is rejected while the
     EWMA of completed sojourns exceeds it, and the client thinks again.
+    The EWMA moves only when an admitted request completes, so a
+    request is always admitted while no admitted request is in flight:
+    otherwise one overshoot would reject every later request.
     """
 
     def __init__(self, runtime: "TopologyRuntime", population: Any):
@@ -351,7 +361,12 @@ class ClosedLoopClients:
             return
         self.issued += 1
         admit_at = self._admission
-        if admit_at is not None and self._ewma is not None and self._ewma > admit_at:
+        if (
+            admit_at is not None
+            and self._ewma is not None
+            and self._ewma > admit_at
+            and self._roots
+        ):
             self.rejected += 1
         else:
             # The client holds the root (and a slot) before the

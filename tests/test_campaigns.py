@@ -328,6 +328,40 @@ class TestResultStore:
         with pytest.raises(ConfigurationError):
             store.record_path("../escape", 1)
 
+    def test_record_bytes_are_sorted_key_json(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = self.spec()
+        digest = scenario_hash(spec)
+        store.put(
+            spec, digest, 17, make_result(), campaign="c", cell="l",
+            path="analytic", provenance={"rule": "r", "tolerance": 0.05},
+        )
+        path = store.record_path(digest, 17)
+        record = json.loads(path.read_text())
+        assert path.read_bytes() == json.dumps(
+            record, sort_keys=True
+        ).encode()
+
+    def test_job_record_bytes_are_sorted_key_json(self, tmp_path):
+        from repro.campaigns.store import write_json_atomic
+        from repro.service.jobs import JobRecord
+
+        job = JobRecord(
+            id="job-1",
+            campaign={"name": "c", "base": {"seed": 7, "policy": "none"}},
+            state="done",
+            submitted_at=1.5,
+            started_at=2.0,
+            finished_at=3.25,
+            workers=2,
+            result={"computed": 4, "reused": 0, "mean": [0.1, None]},
+        )
+        payload = job.to_dict()
+        path = tmp_path / "job-1.json"
+        write_json_atomic(path, payload)
+        assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["job-1.json"]
+
 
 class TestCampaignRunner:
     def test_no_store_matches_scenario_runner(self):

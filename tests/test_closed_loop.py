@@ -252,6 +252,62 @@ class TestTreeCapReleasesClient:
 
 
 # ----------------------------------------------------------------------
+# admission control: an overshoot does not latch the gate shut
+# ----------------------------------------------------------------------
+class TestAdmissionRecovers:
+    """The sojourn EWMA moves only when an admitted request completes.
+    A request is therefore admitted whenever none is in flight, so an
+    EWMA above ``admission_latency`` is refreshed instead of rejecting
+    every later request."""
+
+    @pytest.mark.parametrize("backpressure", [False, True])
+    def test_overshoot_does_not_reject_the_rest_of_the_run(self, backpressure):
+        path = (
+            pathlib.Path(__file__).parents[1]
+            / "examples" / "campaigns" / "closed_loop_backpressure.json"
+        )
+        base = json.loads(path.read_text())["base"]
+        base["closed_loop"]["admission_latency"] = 0.09
+        base["backpressure"] = backpressure
+        base["name"] = "admission-recovers"
+        result = run_replication(ScenarioSpec.from_dict(base), 0)
+        # The gate engages ...
+        assert result.admission_rejected > 0
+        # ... but admits most requests, and requests keep completing
+        # after the warmup (a latched gate left 20 of 2367 admitted and
+        # no completion to measure).
+        assert result.admission_rejected < result.issued_requests / 2
+        assert result.completed_trees > result.issued_requests / 2
+        assert result.mean_sojourn is not None
+
+    def test_no_rejection_while_nothing_is_in_flight(self, monkeypatch):
+        from repro.sim.features import ClosedLoopClients
+
+        rejected_idle = []
+        on_client = ClosedLoopClients._on_client
+
+        def watched(self, client, unused):
+            idle = not self._roots
+            before = self.rejected
+            on_client(self, client, unused)
+            if idle and self.rejected > before:
+                rejected_idle.append(self._rt.simulator.now)
+
+        monkeypatch.setattr(ClosedLoopClients, "_on_client", watched)
+        source = create_closed_loop_source(
+            {"kind": "closed_loop", "clients": 6, "think_time": 0.3,
+             "max_outstanding": 1, "admission_latency": 0.05,
+             "admission_alpha": 0.5}
+        )
+        stats = _run(
+            RuntimeOptions(seed=5, queue_limit=4, closed_loop=source),
+            duration=40.0,
+        ).stats()
+        assert stats.admission_rejected > 0
+        assert rejected_idle == []
+
+
+# ----------------------------------------------------------------------
 # option validation
 # ----------------------------------------------------------------------
 class TestOptionValidation:

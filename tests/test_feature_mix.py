@@ -36,6 +36,7 @@ from repro.scheduler.allocation import Allocation
 from repro.sim.engine import Simulator
 from repro.sim.runtime import RuntimeOptions, TopologyRuntime
 from repro.topology.builder import TopologyBuilder
+from repro.topology.grouping import BroadcastGrouping
 from repro.workloads import create_closed_loop_source
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "feature_mix.json"
@@ -135,6 +136,91 @@ def test_every_feature_fires(fixture, discipline):
     # in service on m1 when it failed.
     assert case["dropped_tuples"] > 0
     assert case["rebalances"] == 1
+
+
+class TestBackpressureSyncAfterChurn:
+    """``Backpressure.sync`` repairs a full flag that delivery left
+    stale.
+
+    A broadcast delivery marks its queue full only when the queue
+    already sits one below the limit, so several copies can push it
+    past ``queue_limit`` with ``full`` still unset.  A churn transition
+    redelivers only the operators hosted on the flipped machine; the
+    stale operator keeps its queue, and only ``sync`` sets its flag.
+    """
+
+    LIMIT = 2
+
+    def _churn_after_stale_broadcast(self, monkeypatch):
+        from repro.sim.features import Platform
+
+        topology = (
+            TopologyBuilder("sync_churn")
+            .add_spout("src", rate=40.0)
+            .add_operator("a", mu=200.0)
+            .add_operator("b", mu=5.0)
+            .connect("src", "a")
+            .connect("a", "b", grouping=BroadcastGrouping())
+            .build()
+        )
+        options = RuntimeOptions(
+            seed=3,
+            queue_limit=self.LIMIT,
+            backpressure=True,
+            platform=PlatformSpec.from_dict(
+                {
+                    "machines": [
+                        {"name": f"m{i}", "speed": 1.0, "slots": 4}
+                        for i in range(3)
+                    ],
+                    "placement": {"kind": "round_robin"},
+                }
+            ),
+        )
+        stale = []
+        after_churn = []
+        deliver = TopologyRuntime._deliver
+
+        def watched_deliver(rt, op, payload, grouping):
+            deliver(rt, op, payload, grouping)
+            if (
+                not stale
+                and op.name == "b"
+                and not op.full
+                and op.queued >= self.LIMIT
+            ):
+                stale.append(op.queued)
+                # m0 goes down next: only a is resized and redelivered.
+                rt.simulator.schedule_event(0.0, rt._platform._kind, 0, 1)
+
+        on_node_event = Platform._on_node_event
+
+        def watched_node_event(platform, machine, flag):
+            on_node_event(platform, machine, flag)
+            b = platform._rt._operators["b"]
+            after_churn.append((b.full, b.queued >= self.LIMIT))
+
+        monkeypatch.setattr(TopologyRuntime, "_deliver", watched_deliver)
+        monkeypatch.setattr(Platform, "_on_node_event", watched_node_event)
+        # Round robin puts a's one executor on m0 and b's two on m1, m2.
+        sim = Simulator()
+        runtime = TopologyRuntime(
+            sim, topology, Allocation(["a", "b"], [1, 2]), options
+        )
+        runtime.start()
+        sim.run_until(20.0)
+        runtime.check_conservation()
+        assert stale, "no broadcast pushed b past its limit unmarked"
+        return after_churn[0]
+
+    def test_sync_sets_the_stale_flag(self, monkeypatch):
+        assert self._churn_after_stale_broadcast(monkeypatch) == (True, True)
+
+    def test_without_sync_the_flag_stays_stale(self, monkeypatch):
+        from repro.sim.features import Backpressure
+
+        monkeypatch.setattr(Backpressure, "sync", lambda self: None)
+        assert self._churn_after_stale_broadcast(monkeypatch) == (False, True)
 
 
 if __name__ == "__main__":
