@@ -37,8 +37,10 @@ import platform
 import random
 import sys
 import time
+from dataclasses import replace
 
 from repro.model.performance import PerformanceModel
+from repro.platform.spec import MachineSpec, PlatformSpec
 from repro.queueing.jackson import JacksonNetwork, OperatorLoad
 from repro.scheduler.allocation import Allocation
 from repro.scheduler.assign import assign_processors
@@ -136,12 +138,22 @@ def fanout_case():
 
 
 def platform_off_case():
-    """Identical to ``linear`` — tracked separately to bound the cost of
-    the platform guards (the ``het`` flag test per service start and the
-    ``dead`` check per finish) when no platform block is set.  The
-    baseline entry is a copy of pre-platform ``linear``, so the CI gate
-    on this row proves the no-platform path stayed within tolerance."""
-    return linear_case()
+    """``linear`` on a platform that changes no outcome: four unit-speed
+    machines, round-robin placement, free links and no failure model.
+    Tracked separately to bound the cost of the platform path (machine
+    pinning, the per-service speed divide and the ``dead`` check per
+    finish).  The baseline entry is a copy of pre-platform ``linear``,
+    so the CI gate on this row, relative to ``linear``, proves that
+    path stays within tolerance."""
+    topology, allocation, options = linear_case()
+    spec = PlatformSpec(
+        machines=tuple(
+            MachineSpec(name=f"m{i}", speed=1.0, slots=4) for i in range(4)
+        ),
+        placement={"kind": "round_robin"},
+        failure={"kind": "none"},
+    )
+    return topology, allocation, replace(options, platform=spec)
 
 
 SIM_CASES = {

@@ -39,8 +39,8 @@ DEFAULT_BASELINE = pathlib.Path(__file__).parent / "BENCH_RUNTIME_baseline.json"
 TRACKED = [
     ("simulator", "linear", "events_per_sec"),
     # The platform_off baseline is a copy of pre-platform linear: the
-    # row bounds what the platform-layer guards cost every run that
-    # sets no platform block (CI gates it at a tighter threshold).
+    # row bounds what the platform path costs on a platform that
+    # changes no outcome (CI gates it at a tighter threshold).
     ("simulator", "platform_off", "events_per_sec"),
     ("simulator", "diamond", "events_per_sec"),
     ("simulator", "loop", "events_per_sec"),
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
             " both rows together and cancels, leaving only the checked"
             " rows' drift relative to the reference — e.g. gating"
             " simulator/platform_off relative to simulator/linear"
-            " isolates the platform guards' overhead, because the"
+            " isolates the platform path's overhead, because the"
             " committed platform_off baseline is a copy of pre-platform"
             " linear (baseline ratio 1.0)."
         ),

@@ -151,14 +151,15 @@ def open_store(
 ) -> ResultStore:
     """Open a result store, sniffing its on-disk layout.
 
-    Stores that have been compacted (or written by shard workers) carry
+    Stores that have been compacted (or written by a sharded run) carry
     a ``segments/`` directory and get the segment-aware reader;
     everything else gets the classic per-file store.  ``segment`` names
-    this writer's NDJSON segment when the layout is segmented —
-    concurrent writer processes (a ``repro serve``, shard workers) must
-    each pass a distinct name.  ``require=True`` raises :class:`StoreNotFoundError`
-    instead of creating a missing directory — the contract of read-only
-    callers like ``repro campaign-report``.
+    this writer's NDJSON segment when the layout is segmented; giving
+    each concurrent writer process (a ``repro serve``, a sharded run)
+    its own name keeps their appends in separate files.
+    ``require=True`` raises :class:`StoreNotFoundError` instead of
+    creating a missing directory — the contract of read-only callers
+    like ``repro campaign-report``.
     """
     path = Path(root)
     if require and not path.is_dir():
@@ -290,9 +291,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Expand and execute a campaign grid, resumable against ``store``.
 
-    ``shards`` switches to the work-stealing multi-process executor
-    (requires a store; results land in per-worker segments).  Without
-    it, replications fan out over ``workers`` processes from this one.
+    Replications fan out over ``workers`` processes from this one.
+    ``shards`` is the same process pool with ``shards`` workers on a
+    segmented store (a store is required; a path opens or creates one
+    writing to ``segments/coordinator.ndjson``).
     ``evaluation`` overrides the spec's mode; ``evaluator`` injects a
     pre-built analytic evaluator (otherwise hybrid/analytic modes build
     one from ``manifest``/``safety_margin``).  ``cancel`` is an optional

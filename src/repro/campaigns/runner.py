@@ -1,4 +1,4 @@
-"""Execute campaigns: one planner, two executors.
+"""Execute campaigns: one planner, one executor.
 
 :class:`CampaignRunner` is the only campaign planner.  One planning
 step, shared by :meth:`~CampaignRunner.plan` (``--dry-run``) and
@@ -11,17 +11,16 @@ computation — and splits them three ways:
 - *cached*: the store holds a usable record (:func:`load_usable`);
 - *analytic*: answered inline by the hybrid fast path, always in the
   coordinating process;
-- *simulated*: handed to the executor hook ``_execute``.
+- *simulated*: run by :meth:`~CampaignRunner._execute`.
 
-Two executors implement that hook.  :class:`CampaignRunner` runs jobs
-in-process or over a :class:`ProcessPoolExecutor`, writing every result
+The executor runs simulated jobs in-process or over a
+:class:`ProcessPoolExecutor`, and the coordinator writes every result
 to the store *the moment it completes*, so killing a campaign mid-run
-loses at most the replications in flight.
-:class:`~repro.campaigns.shard.ShardedCampaignRunner` ships them to
-claim-racing shard workers instead.  Accounting and merging are the
-same code either way, so a campaign's :class:`CampaignResult` —
-per-cell ``computed``/``reused``/``path`` included — is identical
-whichever executor ran it.
+loses at most the replications in flight.  ``--shards N``
+(:class:`~repro.campaigns.shard.ShardedCampaignRunner`) is the same
+pool with ``N`` workers on a segmented store.  So a campaign's
+:class:`CampaignResult` — per-cell ``computed``/``reused``/``path``
+included — is identical whatever the worker count.
 
 Evaluation modes (:attr:`CampaignSpec.evaluation`): ``simulate`` (the
 default) computes every job with the discrete-event engine, exactly as
@@ -102,7 +101,7 @@ def load_usable(
 #: classic one-file-per-replication layout.  Observed classic records
 #: run 2–6 KiB depending on topology width and timeline length; the
 #: estimate is for sanity-checking a sweep's disk cost before launching
-#: shards, not for accounting.
+#: it, not for accounting.
 ESTIMATED_RECORD_BYTES = 4096
 
 #: Per-record estimate for the segmented NDJSON layout when the store
@@ -267,9 +266,6 @@ class CampaignRunner:
     so a cancelled campaign resumes from its store losing only work in
     flight.  This is the hook the job service's cancel endpoint (and
     its shutdown path) relies on.
-
-    Subclasses swap the executor by overriding :meth:`_execute`; the
-    planning, analytic answers and merge stay here.
     """
 
     def __init__(
@@ -489,8 +485,8 @@ class CampaignRunner:
         """Answer the analytic-path jobs inline, with provenance.
 
         Runs in the coordinating process — an answer is a handful of
-        memoized float operations, so no pool (or shard worker) should
-        ever see these jobs.  A cell's replications share one answer:
+        memoized float operations, so no pool worker should ever see
+        these jobs.  A cell's replications share one answer:
         the model's stationary expectations do not depend on the seed.
         So each cell (spec hash) is evaluated once, for its first
         uncached replication, and every other replication gets that
@@ -537,8 +533,8 @@ class CampaignRunner:
         cells: Sequence[CampaignCell],
         jobs: Sequence[_Job],
     ) -> Dict[_Key, ReplicationResult]:
-        """The executor hook: run every simulated-path job, persist each
-        result, and return them all keyed by ``(spec hash, seed)``."""
+        """Run every simulated-path job, persist each result, and
+        return them all keyed by ``(spec hash, seed)``."""
         if not jobs:
             return {}
         label_by_hash = {c.spec_hash: c.label for c in cells}
@@ -564,6 +560,8 @@ class CampaignRunner:
                 self._check_cancelled(campaign)
                 persist(job, _run_job(job))
             return computed
+        # A cancel set before dispatch computes nothing, as serially.
+        self._check_cancelled(campaign)
         # submit/wait rather than map: each result is persisted the
         # moment it completes, so an interrupt loses only in-flight
         # replications instead of a whole ordered prefix.

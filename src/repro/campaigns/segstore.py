@@ -5,7 +5,8 @@ file per replication — perfect for atomic single-writer resume, fatal
 for million-replication sweeps (millions of tiny files).  The
 :class:`SegmentedResultStore` keeps the same content-addressed keys but
 appends whole records as NDJSON lines to a handful of *segment* files
-(one per writer, so shard workers never contend on a file).
+(one per writer name, so writers with distinct names never contend on a
+file).
 
 The in-memory index maps each ``(spec hash, seed)`` key to where its
 line lives — ``(segment, byte offset, length)`` — and keeps no decoded
@@ -95,9 +96,9 @@ def _is_bucket_parent(entry: os.DirEntry) -> bool:
 class SegmentedResultStore(ResultStore):
     """Result store writing to one append-only NDJSON segment.
 
-    ``segment`` names this writer's segment file (shard workers pass
-    their shard id); concurrent writers using distinct segment names
-    never contend.  All segments — plus the classic per-file layout —
+    ``segment`` names this writer's segment file; concurrent writers
+    using distinct segment names never contend, and writers sharing one
+    append whole lines to it.  All segments — plus the classic per-file layout —
     are visible to reads.  One instance may be shared by threads:
     appends and :meth:`refresh` share a lock, reads take none.
     """

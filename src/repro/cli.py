@@ -453,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
             " paths like arrival_model.burst_ratio) and execute every"
             " cell.  With --store, completed replications are"
             " content-addressed and reused, so an interrupted sweep"
-            " resumes losing only in-flight work.  With --shards N the"
-            " work-stealing executor races N processes over the grid"
-            " (results land in per-worker segments; see `repro"
-            " store-compact` to migrate an older per-file store)."
+            " resumes losing only in-flight work.  --shards N runs the"
+            " grid on N worker processes into a segmented store (see"
+            " `repro store-compact` to migrate an older per-file"
+            " store)."
             "  With --evaluation hybrid, cells inside the committed"
             " tolerance envelope are answered from the queueing model"
             " and tagged with analytic provenance; see `repro"
@@ -492,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="run through the work-stealing sharded executor with this"
-        " many worker processes (requires --store; results land in"
-        " compacted per-worker segments)",
+        help="run on this many worker processes into a segmented"
+        " store (requires --store; results land in its"
+        " segments/coordinator.ndjson)",
     )
     pc.add_argument(
         "--evaluation",

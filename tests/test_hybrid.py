@@ -471,33 +471,43 @@ class TestHybridRunner:
 
 
 class TestShardedHybrid:
-    def test_analytic_cells_answered_in_coordinator(self, tmp_path):
+    def test_analytic_cells_answered_in_coordinator(
+        self, tmp_path, monkeypatch
+    ):
         campaign = _mixed_campaign()
         store = SegmentedResultStore(tmp_path, segment="coordinator")
         evaluator = AnalyticCellEvaluator(_manifest())
-        result = ShardedCampaignRunner(
-            store, shards=2, evaluator=evaluator
-        ).run(campaign)
+        runner = ShardedCampaignRunner(store, shards=2, evaluator=evaluator)
+        executed = []
+        execute = runner._execute
+
+        def spy(campaign, cells, jobs):
+            executed.extend(job[0] for job in jobs)
+            return execute(campaign, cells, jobs)
+
+        monkeypatch.setattr(runner, "_execute", spy)
+        result = runner.run(campaign)
         assert result.analytic == 2
         assert result.computed == 4
         assert result.reused == 0
-        # Analytic records live in the coordinator's segment only —
-        # workers never saw those jobs.
+        # The executor received only the simulated cell's jobs.
+        analytic = {
+            c.cell.spec_hash for c in result.cells if c.path == "analytic"
+        }
+        assert len(executed) == 2
+        assert analytic and analytic.isdisjoint(executed)
         coordinator = (tmp_path / "segments" / "coordinator.ndjson").read_text()
-        analytic_lines = [
+        records = [
             json.loads(line)
             for line in coordinator.splitlines()
-            if line.strip() and json.loads(line).get("path") == "analytic"
+            if line.strip() and json.loads(line).get("kind") != "spec"
         ]
-        assert len(analytic_lines) == 2
-        for path in (tmp_path / "segments").glob("shard-*.ndjson"):
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("kind") == "spec":
-                    continue
-                assert record_path(record) == "simulated"
+        assert sorted(record_path(r) for r in records) == [
+            "analytic",
+            "analytic",
+            "simulated",
+            "simulated",
+        ]
 
     def test_sharded_resume_recomputes_nothing(self, tmp_path):
         campaign = _mixed_campaign()

@@ -1,8 +1,9 @@
-"""Tests for the sharded campaign executor and the compacted
-(segmented) result-store backend."""
+"""Tests for sharded campaign runs (the process pool on a segmented
+store) and the compacted (segmented) result-store backend."""
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -10,9 +11,10 @@ from repro import api
 from repro.campaigns.runner import (
     ESTIMATED_RECORD_BYTES,
     CampaignRunner,
+    load_usable,
 )
 from repro.campaigns.segstore import SegmentedResultStore, compact_store
-from repro.campaigns.shard import CLAIMS_DIR, ShardedCampaignRunner
+from repro.campaigns.shard import ShardedCampaignRunner
 from repro.campaigns.spec import CampaignSpec, scenario_hash
 from repro.campaigns.store import ResultStore
 from repro.exceptions import CampaignCancelled, ConfigurationError
@@ -456,9 +458,27 @@ class TestShardedRunner:
             c.summary.to_dict() for c in plain.cells
         ]
 
+    def test_sharded_records_match_pool_records(self, tmp_path):
+        campaign = small_campaign()
+        CampaignRunner(
+            SegmentedResultStore(tmp_path / "pool"), max_workers=2
+        ).run(campaign)
+        ShardedCampaignRunner(
+            SegmentedResultStore(tmp_path / "sharded", segment="coordinator"),
+            shards=2,
+        ).run(campaign)
+        pool = (tmp_path / "pool" / "segments" / "main.ndjson").read_text()
+        sharded = tmp_path / "sharded" / "segments" / "coordinator.ndjson"
+        assert sorted(sharded.read_text().splitlines()) == sorted(
+            pool.splitlines()
+        )
+        assert [p.name for p in (tmp_path / "sharded").iterdir()] == [
+            "segments"
+        ]
+
     def test_interrupted_run_resumes_only_missing(self, tmp_path):
         # Simulate an interrupt: a prior run landed half the results
-        # (one cell of two) before dying, leaving stale claim files.
+        # (one cell of two) before dying.
         campaign = small_campaign()
         half = CampaignSpec.from_dict(
             {
@@ -475,21 +495,24 @@ class TestShardedRunner:
         )
         store = SegmentedResultStore(tmp_path, segment="coordinator")
         ShardedCampaignRunner(store, shards=2).run(half)
-        claims = tmp_path / CLAIMS_DIR
-        (claims / "stale_claim_from_dead_run").write_text("999")
         result = ShardedCampaignRunner(store, shards=2).run(campaign)
-        # Only the missing cell's replications were computed; the stale
-        # claim neither blocked nor duplicated work.
+        # Only the missing cell's replications were computed.
         assert result.computed == 2
         assert result.reused == 2
-        assert not (claims / "stale_claim_from_dead_run").exists()
+        assert [(c.computed, c.reused) for c in result.cells] == [
+            (0, 2),
+            (2, 0),
+        ]
+        assert SegmentedResultStore(tmp_path, segment="r").refresh() == 4
 
-    def test_claims_match_executed_jobs(self, tmp_path):
+    def test_computed_jobs_are_stored(self, tmp_path):
         campaign = small_campaign()
         store = SegmentedResultStore(tmp_path, segment="coordinator")
         result = ShardedCampaignRunner(store, shards=2).run(campaign)
-        claims = list((tmp_path / CLAIMS_DIR).iterdir())
-        assert len(claims) == result.computed == 4
+        assert result.computed == 4
+        reader = SegmentedResultStore(tmp_path, segment="r")
+        assert reader.refresh() == result.computed
+        assert _stored_keys(reader, campaign) == 4
 
     def test_cancel_reaches_sharded_runs(self, tmp_path):
         campaign = small_campaign()
@@ -499,6 +522,63 @@ class TestShardedRunner:
             api.run_campaign(campaign, store=tmp_path, shards=2, cancel=event)
         store = SegmentedResultStore(tmp_path, segment="coordinator")
         assert store.refresh() == 0  # no record of any cell
+
+    def test_cancel_set_before_pool_dispatch_computes_nothing(
+        self, tmp_path
+    ):
+        event = threading.Event()
+        event.set()
+        store = SegmentedResultStore(tmp_path)
+        with pytest.raises(CampaignCancelled):
+            api.run_campaign(
+                small_campaign(), store=store, workers=2, cancel=event
+            )
+        assert SegmentedResultStore(tmp_path, segment="r").refresh() == 0
+
+    def test_two_coordinators_on_one_store_lose_no_work(self, tmp_path):
+        campaign = small_campaign()
+        start = threading.Barrier(2, timeout=60)
+
+        def coordinate():
+            # Both write the segment two CLI runs on one store share.
+            runner = ShardedCampaignRunner(
+                SegmentedResultStore(tmp_path, segment="coordinator"),
+                shards=2,
+            )
+            start.wait()
+            return runner.run(campaign)
+
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            futures = [threads.submit(coordinate) for _ in range(2)]
+            first, second = (f.result(timeout=300) for f in futures)
+        assert [c.summary.to_dict() for c in first.cells] == [
+            c.summary.to_dict() for c in second.cells
+        ]
+        # Each job ran at least once; duplicates are allowed.
+        assert first.computed + first.reused == 4
+        assert second.computed + second.reused == 4
+        reader = SegmentedResultStore(tmp_path, segment="r")
+        assert reader.refresh() == 4
+        assert _stored_keys(reader, campaign) == 4
+        assert not (tmp_path / "claims").exists()
+        resumed = ShardedCampaignRunner(reader, shards=2).run(campaign)
+        assert resumed.computed == 0 and resumed.reused == 4
+
+
+def _stored_keys(store, campaign):
+    """How many of ``campaign``'s jobs ``store`` holds a usable record
+    for."""
+    return sum(
+        load_usable(
+            store,
+            cell.spec_hash,
+            replication_seed(cell.spec.seed, index),
+            "simulated",
+        )
+        is not None
+        for cell in campaign.expand()
+        for index in range(cell.spec.replications)
+    )
 
 
 def _seed_shape_corrupted_record(root, campaign):
@@ -538,8 +618,10 @@ class TestShapeCorruptedRecord:
         result = runner.run(campaign)
         assert plan.to_compute == result.computed == 4
         assert result.reused == 0
-        # The shard workers, not a coordinator fallback, recomputed it.
-        assert len(list((tmp_path / CLAIMS_DIR).iterdir())) == 4
+        # The recomputed record landed in the segment and now loads.
+        reader = SegmentedResultStore(tmp_path, segment="r")
+        assert reader.refresh() == 4
+        assert _stored_keys(reader, campaign) == 4
 
 
 class TestPlanReport:

@@ -19,8 +19,8 @@ The hook is a generated ``sitecustomize`` put first on ``PYTHONPATH``,
 so every Python process an entry point starts is recorded too.  Each
 process writes what it entered when it exits: at ``atexit``, on
 SIGTERM, and through a wrapped ``os._exit``, which is how forked pool
-and shard workers leave (multiprocessing clears its finalizers in a
-forked child and ``atexit`` never runs there).
+workers leave (multiprocessing clears its finalizers in a forked child
+and ``atexit`` never runs there).
 
 It takes no options.  Entry points run in the repository root, and
 every store they write goes to a temporary directory that is removed
