@@ -317,9 +317,7 @@ def run_campaign(
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if store is None:
-            raise ConfigurationError(
-                "sharded execution requires a store (per-worker segments)"
-            )
+            raise ConfigurationError("sharded execution requires a store")
         from repro.campaigns.segstore import SegmentedResultStore
         from repro.campaigns.shard import ShardedCampaignRunner
 

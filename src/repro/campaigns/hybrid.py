@@ -23,10 +23,11 @@ and under which committed envelope.
 
 Evaluator state is memoized across neighboring cells: predictions are
 keyed by the (frozen, hashable) :class:`~repro.apps.fidelity.
-FidelityWorkload`; their traffic solve, which reads no SCV, is shared
-by every cell with the same rates (``networks`` of
-:func:`~repro.fidelity.analytic.predict`); and the per-operator Erlang
-recurrence is carried forward along ascending server counts
+FidelityWorkload`; their traffic solve and p95 bound, which read no
+SCV, are shared by every cell with the same rates (and, for the bound,
+the same allocation: ``networks`` and ``bounds`` of
+:func:`~repro.fidelity.analytic.predict_sojourn`); and the per-operator
+Erlang recurrence is carried forward along ascending server counts
 (:meth:`~repro.queueing.erlang.ErlangMarginalEvaluator.advance_to`), so
 a k-sweep costs one warm-up instead of one O(k) Erlang-B per cell.
 """
@@ -54,7 +55,6 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.campaigns.store import record_path
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fidelity.analytic import AnalyticPrediction
     from repro.fidelity.manifest import ToleranceManifest
     from repro.queueing.jackson import JacksonNetwork
 
@@ -175,8 +175,10 @@ class AnalyticCellEvaluator:
         self.manifest_path = Path(manifest_path) if manifest_path else None
         # Memoized evaluator state, reused across neighboring cells in
         # sweep order (the whole point of answering cells centrally).
-        self._predictions: Dict[FidelityWorkload, AnalyticPrediction] = {}
+        # ``(mean_sojourn, p95_sojourn)`` per workload.
+        self._predictions: Dict[FidelityWorkload, Tuple[float, float]] = {}
         self._networks: Dict[Tuple, JacksonNetwork] = {}
+        self._bounds: Dict[Tuple, float] = {}
         self._erlang: Dict[Tuple[float, float], ErlangMarginalEvaluator] = {}
         self._decisions: Dict[Tuple, AnalyticDecision] = {}
 
@@ -374,7 +376,7 @@ class AnalyticCellEvaluator:
         — the model predicts means, not run-to-run spread.
         """
         workload = FidelityWorkload(**spec.workload_params)
-        prediction = self._predict(workload)
+        mean_sojourn, p95_sojourn = self._predict(workload)
         wait = self._operator_wait(workload)
         waits = {name: wait for name in workload.operator_names}
         services = {
@@ -390,9 +392,9 @@ class AnalyticCellEvaluator:
             dropped_tuples=0,
             dropped_trees=0,
             rebalances=0,
-            mean_sojourn=prediction.mean_sojourn,
+            mean_sojourn=mean_sojourn,
             std_sojourn=None,
-            p95_sojourn=prediction.p95_sojourn,
+            p95_sojourn=p95_sojourn,
             final_allocation=spec.initial_allocation
             or workload.allocation_spec(),
             final_machines=None,
@@ -403,12 +405,16 @@ class AnalyticCellEvaluator:
             operator_services=services,
         )
 
-    def _predict(self, workload: FidelityWorkload) -> "AnalyticPrediction":
-        from repro.fidelity.analytic import predict
+    def _predict(self, workload: FidelityWorkload) -> Tuple[float, float]:
+        """``(mean_sojourn, p95_sojourn)`` of one workload."""
+        from repro.fidelity.analytic import predict_sojourn
 
         cached = self._predictions.get(workload)
         if cached is None:
-            cached = predict(workload, networks=self._networks)
+            sojourn = predict_sojourn(
+                workload, networks=self._networks, bounds=self._bounds
+            )
+            cached = (sojourn.mean_sojourn, sojourn.p95_sojourn)
             self._predictions[workload] = cached
         return cached
 

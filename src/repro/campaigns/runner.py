@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaigns.hybrid import (
     AnalyticCellEvaluator,
@@ -229,12 +231,14 @@ class CampaignResult:
 @dataclass(frozen=True)
 class _Planned:
     """The shared planning step's output: the expanded grid, per-hash
-    path decisions, and the unique jobs split into cached results,
-    analytic-path jobs and simulated-path jobs (sweep order)."""
+    path decisions, the derived replication seeds, and the unique jobs
+    split into cached results, analytic-path jobs and simulated-path
+    jobs (sweep order)."""
 
     cells: List[CampaignCell]
     evaluator: Optional[AnalyticCellEvaluator]
     decisions: Dict[str, AnalyticDecision]
+    seeds: Dict[int, List[int]]
     cached: Dict[_Key, ReplicationResult]
     analytic: List[_Job]
     simulated: List[_Job]
@@ -242,6 +246,10 @@ class _Planned:
     def path(self, spec_hash: str) -> str:
         """The decided evaluation path of one spec hash."""
         return _cell_path(self.decisions, spec_hash)
+
+    def replications(self, cell: CampaignCell) -> Iterator[Tuple[int, int]]:
+        """``(index, seed)`` of each of ``cell``'s replications."""
+        return zip(range(cell.spec.replications), self.seeds[cell.spec.seed])
 
 
 class CampaignRunner:
@@ -336,6 +344,9 @@ class CampaignRunner:
         cells = campaign.expand()
         evaluator = resolve_evaluator(campaign.evaluation, self._evaluator)
         decisions = self._decide_cells(campaign, cells, evaluator)
+        # Derived seeds per base seed, as many as its longest cell has
+        # replications: most grids share one base seed.
+        seeds: Dict[int, List[int]] = {}
         cached: Dict[_Key, ReplicationResult] = {}
         analytic: List[_Job] = []
         simulated: List[_Job] = []
@@ -343,8 +354,10 @@ class CampaignRunner:
         for cell in _simulation_cells(cells):
             spec_hash = cell.spec_hash
             path = _cell_path(decisions, spec_hash)
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
+            base = seeds.setdefault(cell.spec.seed, [])
+            for index in range(len(base), cell.spec.replications):
+                base.append(replication_seed(cell.spec.seed, index))
+            for index, seed in zip(range(cell.spec.replications), base):
                 key = (spec_hash, seed)
                 if key in cached or key in pending:
                     continue
@@ -355,7 +368,9 @@ class CampaignRunner:
                 pending.add(key)
                 job = (spec_hash, seed, cell.spec, index)
                 (analytic if path == "analytic" else simulated).append(job)
-        return _Planned(cells, evaluator, decisions, cached, analytic, simulated)
+        return _Planned(
+            cells, evaluator, decisions, seeds, cached, analytic, simulated
+        )
 
     def _estimate_store_bytes(self, simulated: int, analytic: int) -> int:
         """Layout-aware size estimate for uncached store-bound jobs.
@@ -414,8 +429,7 @@ class CampaignRunner:
             merged: List[ReplicationResult] = []
             fresh = 0
             reused = 0
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
+            for index, seed in planned.replications(cell):
                 key = (spec_hash, seed)
                 if key in computed:
                     fresh += 1
@@ -427,9 +441,7 @@ class CampaignRunner:
                 # (same inputs reached via another cell) still reports
                 # its own index.
                 if result.index != index:
-                    result = ReplicationResult.from_dict(
-                        {**result.to_dict(), "index": index}
-                    )
+                    result = result.sibling(index, result.seed)
                 merged.append(result)
             results.append(
                 CampaignCellResult(
@@ -491,19 +503,22 @@ class CampaignRunner:
         So each cell (spec hash) is evaluated once, for its first
         uncached replication, and every other replication gets that
         result under its own ``index`` and ``seed``; the provenance
-        dict is built once per cell too.  Jobs are answered and stored
-        in plan order, so the records match a per-replication run byte
-        for byte.
+        dict is built once per cell too.  Each run of jobs with one
+        spec hash is stored by one ``put`` (the first job's record plus
+        its siblings), in plan order, so the records match a
+        per-replication run byte for byte.  A cancel is honoured
+        between those runs: the store holds whole cells.
         """
         computed: Dict[_Key, ReplicationResult] = {}
         if not planned.analytic:
             return computed
-        self._check_cancelled(campaign)
         evaluator = planned.evaluator
         assert evaluator is not None  # jobs only exist with an evaluator
         label_by_hash = {c.spec_hash: c.label for c in planned.cells}
         answers: Dict[str, Tuple[ReplicationResult, Dict]] = {}
-        for spec_hash, seed, spec, index in planned.analytic:
+        for spec_hash, run in groupby(planned.analytic, key=itemgetter(0)):
+            self._check_cancelled(campaign)
+            _, seed, spec, index = next(run)
             answer = answers.get(spec_hash)
             if answer is None:
                 answer = answers[spec_hash] = (
@@ -512,8 +527,13 @@ class CampaignRunner:
                 )
                 result = answer[0]
             else:
-                result = replace(answer[0], index=index, seed=seed)
+                result = answer[0].sibling(index, seed)
             computed[(spec_hash, seed)] = result
+            siblings = [(job[3], job[1]) for job in run]
+            for sibling_index, sibling_seed in siblings:
+                computed[(spec_hash, sibling_seed)] = result.sibling(
+                    sibling_index, sibling_seed
+                )
             if self._store is not None:
                 self._store.put(
                     spec,
@@ -524,6 +544,7 @@ class CampaignRunner:
                     cell=label_by_hash.get(spec_hash, ""),
                     path="analytic",
                     provenance=answer[1],
+                    siblings=siblings,
                 )
         return computed
 

@@ -11,8 +11,9 @@ file).
 The in-memory index maps each ``(spec hash, seed)`` key to where its
 line lives — ``(segment, byte offset, length)`` — and keeps no decoded
 record, so its memory grows with the number of keys, not with record
-bytes.  Building it decodes nothing: every line is written by
-``json.dumps(record, sort_keys=True)``, so a record line ends in
+bytes.  Building it decodes nothing: every line is
+``json.dumps(record, sort_keys=True)`` (a cell's sibling lines are
+built from one such encode, to the same bytes), so a record line ends in
 ``"seed": <int>, "spec_hash": "<hex>", "version": <int>}`` and a spec
 line starts with ``{"kind": "spec", ``; the key is read from the
 line's last few hundred bytes.  A line of any other shape (hand-edited)
@@ -48,9 +49,14 @@ import re
 import threading
 import weakref
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.campaigns.store import RECORD_VERSION, ResultStore, parse_record
+from repro.campaigns.store import (
+    RECORD_VERSION,
+    ResultStore,
+    encode_replications,
+    parse_record,
+)
 from repro.scenarios.spec import ScenarioSpec
 
 #: Subdirectory of the store root holding segment files.
@@ -241,7 +247,13 @@ class SegmentedResultStore(ResultStore):
             except OSError:
                 raw = b""
             record = parse_record(raw)
-            if record is not None and record.get("spec_hash") == spec_hash:
+            # A misplaced offset (a short write on a shared segment) can
+            # land on another key's line: a sibling's, for one.
+            if (
+                record is not None
+                and record.get("spec_hash") == spec_hash
+                and record.get("seed") == int(seed)
+            ):
                 return record
         if self._has_classic:
             return super().load_record(spec_hash, seed)
@@ -261,7 +273,12 @@ class SegmentedResultStore(ResultStore):
         cell: str = "",
         path: str = "simulated",
         provenance=None,
+        siblings: Sequence[Tuple[int, int]] = (),
     ) -> Path:
+        """Append the record, and one per sibling ``(index, seed)``
+        (see :meth:`ResultStore.put`), in one write: the spec line
+        first if this store has not seen ``spec_hash``.  The lines are
+        encoded from one ``json.dumps`` (:func:`encode_replications`)."""
         record = self._record(
             spec_hash,
             seed,
@@ -271,42 +288,40 @@ class SegmentedResultStore(ResultStore):
             path=path,
             provenance=provenance,
         )
+        lines = encode_replications(record, siblings)
+        seeds = [int(seed)] + [int(sibling) for _, sibling in siblings]
         with self._lock:
-            if spec_hash not in self._known_specs:
-                self._append_spec(spec_hash, spec.to_dict())
-            _place(self._index, (spec_hash, int(seed)), self._append(record))
+            new_spec = spec_hash not in self._known_specs
+            if new_spec:
+                lines.insert(0, _spec_line(spec_hash, spec.to_dict()))
+            locations = self._append(lines)
+            if new_spec:
+                self._known_specs.add(spec_hash)
+                del locations[0]
+            for key_seed, location in zip(seeds, locations):
+                _place(self._index, (spec_hash, key_seed), location)
         return self._segment_path
 
-    def _append_spec(self, spec_hash: str, spec: Dict[str, Any]) -> None:
-        # Provenance travels inside the segment (the classic layout uses
-        # a spec.json per bucket; segments must not reintroduce one
-        # small file per scenario).
-        self._append(
-            {
-                "version": RECORD_VERSION,
-                "kind": "spec",
-                "spec_hash": spec_hash,
-                "result": None,
-                "spec": spec,
-            }
-        )
-        self._known_specs.add(spec_hash)
-
-    def _append(self, record: Dict[str, Any]) -> _Location:
-        """Append one line to this writer's segment; returns where it
-        landed.  The caller holds the lock."""
-        line = (json.dumps(record, sort_keys=True) + "\n").encode()
+    def _append(self, lines: Sequence[str]) -> List[_Location]:
+        """Append whole lines to this writer's segment in one write;
+        returns where each landed.  The caller holds the lock."""
+        encoded = [line.encode() for line in lines]
+        data = b"\n".join(encoded) + b"\n"
         fd = self._writer()
-        view = memoryview(line)
+        view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
         end = os.lseek(fd, 0, os.SEEK_CUR)
-        start = end - len(line)
+        start = end - len(data)
         # Own lines need no rescan — unless another process appended to
         # this segment since the cursor, which leaves a gap to scan.
         if self._cursors.get(self._segment_path, 0) == start:
             self._cursors[self._segment_path] = end
-        return self._segment_path, start, len(line) - 1
+        locations = []
+        for line in encoded:
+            locations.append((self._segment_path, start, len(line)))
+            start += len(line) + 1
+        return locations
 
     def _writer(self) -> int:
         """This writer's append descriptor, opened on first use."""
@@ -338,6 +353,22 @@ class SegmentedResultStore(ResultStore):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _spec_line(spec_hash: str, spec: Dict[str, Any]) -> str:
+    """A segment's provenance line for one spec hash (the classic
+    layout uses a spec.json per bucket; segments must not reintroduce
+    one small file per scenario)."""
+    return json.dumps(
+        {
+            "version": RECORD_VERSION,
+            "kind": "spec",
+            "spec_hash": spec_hash,
+            "result": None,
+            "spec": spec,
+        },
+        sort_keys=True,
+    )
 
 
 def compact_store(root: os.PathLike, *, segment: str = "compacted") -> dict:
@@ -374,9 +405,11 @@ def compact_store(root: os.PathLike, *, segment: str = "compacted") -> dict:
                         skipped += 1
                         continue
                     if (spec_hash, seed) not in store._index:
+                        lines = [json.dumps(record, sort_keys=True)]
                         if spec_dict is not None and spec_hash not in store._known_specs:
-                            store._append_spec(spec_hash, spec_dict)
-                        store._index[(spec_hash, seed)] = store._append(record)
+                            lines.insert(0, _spec_line(spec_hash, spec_dict))
+                            store._known_specs.add(spec_hash)
+                        store._index[(spec_hash, seed)] = store._append(lines)[-1]
                         migrated += 1
                     absorbed.append(path)
                 # The segment holds every absorbed record (flushed line

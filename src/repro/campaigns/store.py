@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.runner import ReplicationResult
@@ -78,14 +79,90 @@ def parse_record(raw: bytes) -> Optional[Dict[str, Any]]:
     return record
 
 
+#: An ``"index": <int>`` or ``"seed": <int>`` member of a sorted-key
+#: JSON text (what follows a member is ``,`` or ``}``).
+_REPLICATION_MEMBER = re.compile(r'"(index|seed)": (-?\d+)(?=[,}])')
+
+
+def encode_replications(
+    record: Mapping[str, Any], siblings: Sequence[Tuple[int, int]] = ()
+) -> List[str]:
+    """``json.dumps(r, sort_keys=True)`` of ``record`` and of each
+    sibling, from one encode.
+
+    A sibling ``(index, seed)`` is ``record`` with ``seed`` and the
+    result's ``index`` and ``seed`` replaced.  Its text is the
+    record's with those three integers put in.  They are found by
+    value; when the text holds more ``"index"``/``"seed"`` members with
+    those values than the three fields (an operator or provenance key
+    called ``seed``), each sibling is encoded on its own.
+
+    >>> record = {"seed": 7, "result": {"index": 0, "seed": 7}}
+    >>> encode_replications(record, [(1, 12)])
+    ['{"result": {"index": 0, "seed": 7}, "seed": 7}', \
+'{"result": {"index": 1, "seed": 12}, "seed": 12}']
+    """
+    text = json.dumps(record, sort_keys=True)
+    if not siblings:
+        return [text]
+    result = record["result"]
+    wanted = {
+        "index": (result["index"],),
+        "seed": (record["seed"], result["seed"]),
+    }
+    slots = [
+        match
+        for match in _REPLICATION_MEMBER.finditer(text)
+        if int(match[2]) in wanted[match[1]]
+    ]
+    names = [match[1] for match in slots]
+    if names.count("index") != 1 or names.count("seed") != 2:
+        return [text] + [
+            json.dumps(_sibling_record(record, index, seed), sort_keys=True)
+            for index, seed in siblings
+        ]
+    pieces = []
+    cursor = 0
+    for match in slots:
+        pieces.append(text[cursor : match.start(2)])
+        cursor = match.end(2)
+    tail = text[cursor:]
+    lines = [text]
+    for index, seed in siblings:
+        values = {"index": str(int(index)), "seed": str(int(seed))}
+        parts = []
+        for piece, name in zip(pieces, names):
+            parts.append(piece)
+            parts.append(values[name])
+        parts.append(tail)
+        lines.append("".join(parts))
+    return lines
+
+
+def _sibling_record(
+    record: Mapping[str, Any], index: int, seed: int
+) -> Dict[str, Any]:
+    """``record`` under replication ``index`` and ``seed``."""
+    return {
+        **record,
+        "seed": int(seed),
+        "result": {**record["result"], "index": int(index), "seed": int(seed)},
+    }
+
+
 def write_json_atomic(path: Path, payload: Mapping[str, Any]) -> None:
-    """Write ``payload`` as sorted-key JSON, atomically: a temp file in
-    the same directory, then ``os.replace`` — readers see the old file
-    or the new one, never a torn one.  Store records and job-queue
-    records both go through here.  The text is encoded in one
-    ``json.dumps`` call: ``json.dump`` to a file takes the stdlib's
-    pure-Python encoder, several times slower for the same bytes."""
-    text = json.dumps(payload, sort_keys=True)
+    """Write ``payload`` as sorted-key JSON, atomically (see
+    :func:`write_text_atomic`).  Store records and job-queue records
+    both go through here.  The text is encoded in one ``json.dumps``
+    call: ``json.dump`` to a file takes the stdlib's pure-Python
+    encoder, several times slower for the same bytes."""
+    write_text_atomic(path, json.dumps(payload, sort_keys=True))
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` atomically: a temp file in the same directory,
+    then ``os.replace`` — readers see the old file or the new one,
+    never a torn one."""
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
@@ -185,8 +262,9 @@ class ResultStore:
         cell: str = "",
         path: str = "simulated",
         provenance: Optional[Mapping[str, Any]] = None,
+        siblings: Sequence[Tuple[int, int]] = (),
     ) -> Path:
-        """Persist one replication result atomically.
+        """Persist one replication result atomically; returns its file.
 
         ``path`` tags how the result was produced (``simulated`` or
         ``analytic``); analytic results carry their admission
@@ -194,6 +272,11 @@ class ResultStore:
         admitted the cell) so a store is auditable after the fact.  The
         containing bucket also gets a one-time ``spec.json`` with the
         scenario that produced it, for human audit of a store.
+
+        ``siblings`` are further ``(index, seed)`` replications with the
+        same answer (an analytic cell's): each is stored as this record
+        under its own seed and the result's index and seed
+        (:func:`encode_replications`), one file per replication.
         """
         record = self._record(
             spec_hash,
@@ -209,9 +292,11 @@ class ResultStore:
         spec_path = bucket / "spec.json"
         if not spec_path.exists():
             write_json_atomic(spec_path, spec.to_dict())
-        record_file = self.record_path(spec_hash, seed)
-        write_json_atomic(record_file, record)
-        return record_file
+        seeds = [seed] + [sibling for _, sibling in siblings]
+        texts = encode_replications(record, siblings)
+        for sibling, text in zip(seeds, texts):
+            write_text_atomic(self.record_path(spec_hash, sibling), text)
+        return self.record_path(spec_hash, seed)
 
     def _record(
         self,

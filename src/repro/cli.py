@@ -136,7 +136,7 @@ def _run_scenario(args) -> str:
 def _run_campaign(args) -> str:
     if args.shards is not None:
         if not args.store:
-            raise SystemExit("--shards requires --store (per-worker segments)")
+            raise SystemExit("--shards requires --store")
         if args.shards < 1:
             raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     campaign = api.load_campaign(args.spec)

@@ -29,11 +29,14 @@ tolerance manifest documents rather than hides):
   approximately, and downstream arrival processes are no longer Poisson;
 - the p95 bound: a planning bound, not an estimator (see its docstring).
 
-The traffic solve (building the topology and its
-:class:`~repro.queueing.jackson.JacksonNetwork`) does not depend on the
-service SCV, so :func:`predict` can share it across calls: the hybrid
-campaign path (:mod:`repro.campaigns.hybrid`) pays it once per distinct
-rate structure instead of once per cell.
+:func:`predict_sojourn` computes the two numbers a campaign record
+stores (``mean_sojourn`` and ``p95_sojourn``); :func:`predict` calls it
+and adds the audit-only fields.  The traffic solve (building the
+topology and its :class:`~repro.queueing.jackson.JacksonNetwork`) and
+the p95 bound do not depend on the service SCV, so both can be shared
+across calls: the hybrid campaign path (:mod:`repro.campaigns.hybrid`)
+pays them once per distinct rate structure (and allocation) instead of
+once per cell.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.apps.fidelity import FidelityWorkload, service_distribution
-from repro.model.performance import PerformanceModel
 from repro.model.refined import RefinedPerformanceModel
 from repro.queueing import mgk
 from repro.queueing.jackson import JacksonNetwork
@@ -72,13 +74,26 @@ class AnalyticPrediction:
         }
 
 
-def predict(
+@dataclass(frozen=True)
+class SojournPrediction:
+    """The two numbers an analytic campaign record stores, plus the
+    model and allocation that produced them."""
+
+    mean_sojourn: float
+    p95_sojourn: float
+    model: RefinedPerformanceModel
+    allocation: Tuple[int, ...]
+
+
+def predict_sojourn(
     workload: FidelityWorkload,
     *,
     q: float = 0.95,
     networks: Optional[Dict[Tuple, JacksonNetwork]] = None,
-) -> AnalyticPrediction:
-    """Analytic predictions for ``workload`` at its own allocation.
+    bounds: Optional[Dict[Tuple, float]] = None,
+) -> SojournPrediction:
+    """Eq. (3) with the Allen-Cunneen correction, and the p95 bound,
+    for ``workload`` at its own allocation.
 
     ``networks`` memoizes the traffic solve across calls.  Its key
     holds every input the solve reads: the topology shape
@@ -87,7 +102,9 @@ def predict(
     carries, ``1 / mean`` of the cell's service law, not ``mu``: a
     gamma, hyperexponential or Pareto law's mean can miss ``1 / mu`` in
     the last bit, and sharing a solve across such laws would move the
-    answer.  Without ``networks`` the solve is computed fresh.
+    answer.  ``bounds`` memoizes the p95 bound, which reads only the
+    traffic solve and the allocation (never the SCV), on ``(solve key,
+    allocation, q)``.  Without them each is computed fresh.
     """
     service_time = service_distribution(
         workload.mu, workload.scv, workload.service_family
@@ -107,11 +124,31 @@ def predict(
     refined = RefinedPerformanceModel(
         network, service_scvs=[service_time.scv] * network.num_operators
     )
-    plain = refined.plain()
-    allocation = [workload.servers] * network.num_operators
+    allocation = (workload.servers,) * network.num_operators
+    bound_key = (key, allocation, q)
+    p95 = bounds.get(bound_key) if bounds is not None else None
+    if p95 is None:
+        p95 = sojourn_quantile_bound(refined.plain(), allocation, q=q)
+        if bounds is not None:
+            bounds[bound_key] = p95
+    return SojournPrediction(
+        mean_sojourn=refined.expected_sojourn(allocation),
+        p95_sojourn=p95,
+        model=refined,
+        allocation=allocation,
+    )
 
-    mean_refined = refined.expected_sojourn(allocation)
-    mean_mmk = plain.expected_sojourn(allocation)
+
+def predict(
+    workload: FidelityWorkload, *, q: float = 0.95
+) -> AnalyticPrediction:
+    """Analytic predictions for ``workload`` at its own allocation:
+    :func:`predict_sojourn` plus the fields only the audit reads."""
+    sojourn = predict_sojourn(workload, q=q)
+    refined = sojourn.model
+    network = refined.network
+    allocation = sojourn.allocation
+    mean_mmk = refined.plain().expected_sojourn(allocation)
 
     waiting = 0.0
     service = 0.0
@@ -126,16 +163,15 @@ def predict(
             waiting += visits * wait
         service += visits / load.service_rate
 
-    p95 = sojourn_quantile_bound(plain, allocation, q=q)
     utilisation = max(
         load.arrival_rate / (k * load.service_rate)
         for load, k in zip(network.loads, allocation)
     )
     return AnalyticPrediction(
-        mean_sojourn=mean_refined,
+        mean_sojourn=sojourn.mean_sojourn,
         mean_sojourn_mmk=mean_mmk,
         waiting_time=waiting,
         service_time=service,
-        p95_sojourn=p95,
+        p95_sojourn=sojourn.p95_sojourn,
         utilisation=utilisation,
     )

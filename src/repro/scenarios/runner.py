@@ -131,6 +131,15 @@ class ReplicationResult:
     admission_rejected: Optional[int] = None
     issued_requests: Optional[int] = None
 
+    def sibling(self, index: int, seed: int) -> "ReplicationResult":
+        """This result under replication ``index`` and ``seed``: an
+        analytic cell's replications share one answer.  It copies the
+        fields as they are, where ``dataclasses.replace`` would run
+        ``__init__`` over all of them."""
+        sibling = object.__new__(ReplicationResult)
+        sibling.__dict__.update(self.__dict__, index=index, seed=seed)
+        return sibling
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "index": self.index,

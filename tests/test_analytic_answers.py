@@ -211,20 +211,20 @@ class TestSharedWork:
     def test_one_evaluation_and_prediction_per_cell(self, monkeypatch):
         import repro.fidelity.analytic as analytic
 
-        calls = {"evaluate": 0, "predict": 0}
+        calls = {"evaluate": 0, "predict_sojourn": 0}
         evaluate = AnalyticCellEvaluator.evaluate
-        predict = analytic.predict
+        predict_sojourn = analytic.predict_sojourn
 
         def counted_evaluate(self, spec, index):
             calls["evaluate"] += 1
             return evaluate(self, spec, index)
 
-        def counted_predict(*args, **kwargs):
-            calls["predict"] += 1
-            return predict(*args, **kwargs)
+        def counted_predict_sojourn(*args, **kwargs):
+            calls["predict_sojourn"] += 1
+            return predict_sojourn(*args, **kwargs)
 
         monkeypatch.setattr(AnalyticCellEvaluator, "evaluate", counted_evaluate)
-        monkeypatch.setattr(analytic, "predict", counted_predict)
+        monkeypatch.setattr(analytic, "predict_sojourn", counted_predict_sojourn)
         campaign = grid_campaign(
             topologies=("linear",),
             services=((1.0, "auto"),),
@@ -233,7 +233,7 @@ class TestSharedWork:
         )
         result = CampaignRunner(evaluator=permissive_evaluator()).run(campaign)
         assert result.analytic == 5
-        assert calls == {"evaluate": 1, "predict": 1}
+        assert calls == {"evaluate": 1, "predict_sojourn": 1}
 
     def test_scv_siblings_share_one_traffic_solve(self, monkeypatch):
         from repro.queueing.jackson import JacksonNetwork
@@ -257,6 +257,31 @@ class TestSharedWork:
         # One solve per (topology, external rate): the k1/rho0.2 and
         # k2/rho0.1 loads share lambda_0, and SCV never enters the rates.
         assert sorted(solves) == ["fidelity_linear", "fidelity_single"]
+
+    def test_scv_siblings_share_one_p95_bound(self, monkeypatch):
+        import repro.fidelity.analytic as analytic
+
+        bounds = []
+        bound = analytic.sojourn_quantile_bound
+
+        def counted(model, allocation, q=0.95):
+            bounds.append((model.network.external_rate, tuple(allocation)))
+            return bound(model, allocation, q=q)
+
+        monkeypatch.setattr(analytic, "sojourn_quantile_bound", counted)
+        campaign = grid_campaign(
+            topologies=("single", "linear"),
+            services=[(scv, "auto") for scv in (0.0, 0.5, 1.0, 1.5, 2.0, 4.0)],
+            loads=((1, 0.2, 1.0), (2, 0.1, 1.0)),
+            replications=2,
+        )
+        result = CampaignRunner(evaluator=permissive_evaluator()).run(campaign)
+        assert result.analytic == 2 * 6 * 2 * 2
+        # One bound per (traffic solve, allocation): the two loads share
+        # a solve but not an allocation, and SCV enters neither.
+        assert sorted(bounds) == sorted(
+            [(0.2, (1,)), (0.2, (2,)), (0.2, (1, 1, 1)), (0.2, (2, 2, 2))]
+        )
 
     @pytest.mark.parametrize("counts", [(2, 5), (5, 2)])
     def test_cells_differing_only_in_replications(self, tmp_path, counts):
@@ -309,6 +334,52 @@ class TestSharedWork:
         progress = job_progress(campaign, store, permissive_evaluator())
         assert [c["missing"] for c in progress["cells"]] == [0, 0]
         assert [c["analytic"] for c in progress["cells"]] == list(counts)
+
+
+class CancelAfter:
+    """A cancel whose ``is_set()`` turns true on call ``calls + 1``."""
+
+    def __init__(self, calls: int):
+        self.left = calls
+
+    def is_set(self) -> bool:
+        self.left -= 1
+        return self.left < 0
+
+
+@pytest.mark.parametrize("layout", ["classic", "segmented"])
+def test_cancel_between_cells_keeps_whole_cells(tmp_path, layout):
+    from repro.exceptions import CampaignCancelled
+
+    if layout == "segmented":
+        (tmp_path / "segments").mkdir()
+        store = SegmentedResultStore(tmp_path)
+    else:
+        store = ResultStore(tmp_path)
+    campaign = grid_campaign(
+        topologies=("single",), services=((1.0, "auto"), (2.0, "auto"))
+    )
+    cells = campaign.expand()
+    answered = 3
+    runner = CampaignRunner(
+        store, evaluator=permissive_evaluator(), cancel=CancelAfter(answered)
+    )
+    with pytest.raises(CampaignCancelled):
+        runner.run(campaign)
+    for position, cell in enumerate(cells):
+        stored = [
+            store.load_record(
+                cell.spec_hash, replication_seed(cell.spec.seed, index)
+            )
+            is not None
+            for index in range(cell.spec.replications)
+        ]
+        assert stored == [position < answered] * REPLICATIONS, cell.label
+    resumed = CampaignRunner(store, evaluator=permissive_evaluator()).run(
+        campaign
+    )
+    assert resumed.reused == answered * REPLICATIONS
+    assert resumed.computed == (len(cells) - answered) * REPLICATIONS
 
 
 def _regen() -> None:

@@ -252,6 +252,11 @@ class TestCampaignCommands:
         assert "aggregated from store" in out
         assert "8:8:8" in out and "10:10:10" in out
 
+    def test_shards_require_store(self, tmp_path):
+        path = self.campaign_file(tmp_path)
+        with pytest.raises(SystemExit, match=r"^--shards requires --store$"):
+            main(["run-campaign", str(path), "--shards", "2"])
+
     def test_campaign_report_requires_store(self):
         with pytest.raises(SystemExit):
             main(["campaign-report", "whatever.json"])
