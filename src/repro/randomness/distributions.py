@@ -169,6 +169,16 @@ class LogNormal(Distribution):
         return rng.lognormvariate(self._mu, math.sqrt(self._sigma2))
 
     @property
+    def mu(self) -> float:
+        """Mean of the underlying normal (the log of the variate)."""
+        return self._mu
+
+    @property
+    def sigma(self) -> float:
+        """Standard deviation of the underlying normal."""
+        return math.sqrt(self._sigma2)
+
+    @property
     def mean(self) -> float:
         return self._mean
 

@@ -41,13 +41,26 @@ event.  Routing state is precomputed once per runtime:
   grouping (``None`` for free-choice/shuffle), the deterministic-gain
   integer/fraction split and prebound measurement recorders, so an
   emission costs no dict lookups and no temporary objects;
+- the copies of one emission on one delayed route share a single hop
+  event ``(route, (payload, count))``: they would fire at one time with
+  consecutive sequence numbers, so nothing can run between them, and
+  ``_on_hop`` delivers them in order and adds ``count - 1`` to the
+  simulator's processed-event count;
 - each operator keeps an O(1) ``queued`` counter for the
   ``queue_limit`` test;
-- ``jsq`` operators with at least ``_JSQ_HEAP_MIN`` executors maintain a
-  lazy min-heap of ``(load, index)`` pairs: every load change pushes the
-  fresh pair and stale tops are discarded on query, giving O(log k)
-  shortest-queue selection with *identical* tie-breaking to the linear
-  scan (lowest index among minimum load).
+- ``jsq`` operators keep a per-executor load list ``jsq_loads``
+  (``len(queue) + busy``, +1 on each delivery, -1 on each finish;
+  ``check_conservation`` verifies it).  Below ``_JSQ_HEAP_MIN``
+  executors the pick is ``loads.index(min(loads))``, two C-level passes
+  with the scan's tie-breaking (lowest index among minimum load); from
+  there up a lazy min-heap of ``(load, index)`` pairs over the same list
+  gives O(log k) selection with identical ties: every load change
+  pushes the fresh pair and stale tops are discarded on query;
+- exponential and lognormal service times are drawn inline on the
+  operator's stream with exactly ``random.Random``'s formulas
+  (``expovariate``; ``normalvariate``'s Kinderman–Monahan loop under
+  ``exp``), and the per-operator wait/service statistics keep only the
+  count and running mean ``stats()`` reports.
 
 This module is the plain open-loop core.  Platform churn, backpressure
 and closed-loop clients live in :mod:`repro.sim.features`, built only
@@ -91,6 +104,7 @@ from repro.measurement.sojourn import TupleTreeTracker
 from repro.randomness.arrival import DeterministicProcess, PhasedArrivalProcess
 from repro.randomness.distributions import Distribution
 from repro.randomness.distributions import Exponential as ExponentialDistribution
+from repro.randomness.distributions import LogNormal as LogNormalDistribution
 from repro.scheduler.allocation import Allocation
 from repro.sim.engine import Simulator
 from repro.sim.features import Backpressure, ClosedLoopClients, Platform
@@ -99,16 +113,33 @@ from repro.topology.graph import Topology
 from repro.topology.grouping import ShuffleGrouping
 from repro.utils.rng import RngFactory
 
-#: Below this executor count the early-exit linear scan beats the lazy
-#: heap's constant factors (measured on the hot-path benchmark; at high
-#: utilisation the scan loses its early exit and the heap wins from
-#: medium parallelism up); both produce identical selections.
+#: Below this executor count ``loads.index(min(loads))`` beats the lazy
+#: heap's constant factors; from here up the heap's O(log k) wins
+#: (measured on the hot-path benchmark, whose ``diamond`` row runs
+#: k = 128/96/32).  Both produce identical selections.
 _JSQ_HEAP_MIN = 16
 
 # Module-level aliases: a LOAD_GLOBAL beats the attribute chain in the
 # per-tuple loops below.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_exp = math.exp
+
+#: ``random.NV_MAGICCONST``, by the same expression: the Kinderman–Monahan
+#: constant of ``random.Random.normalvariate``.
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+
+
+def _p95(window: List[float]) -> Optional[float]:
+    """The p95 (nearest rank) of ``window``; ``None`` when it is empty.
+
+    The index-th smallest is the (n - index)-th largest, so
+    ``heapq.nlargest`` selects ~5% of the window instead of sorting all
+    of it."""
+    if not window:
+        return None
+    index = max(0, int(math.ceil(0.95 * len(window))) - 1)
+    return heapq.nlargest(len(window) - index, window)[-1]
 
 
 @dataclass(frozen=True)
@@ -273,19 +304,21 @@ class RunStats:
 
 
 class _Executor:
-    """One executor: a queue, a busy flag, and (for the jsq heap) its
-    index and cached load ``len(queue) + busy``.  ``payload`` /
-    ``duration`` hold the in-service tuple between the start and finish
-    events (one tuple in service at a time).  Under a platform,
-    ``machine`` / ``speed`` pin the executor to its host (service draws
-    divide by the speed) and ``dead`` marks an executor whose machine
-    failed mid-service: its pending finish event drops the tuple."""
+    """One executor: a queue, a busy flag, its index and (under jsq) the
+    operator's load list it was built with.  A finish decrements
+    ``loads[index]`` there, so an executor orphaned by a resize only
+    touches its own, discarded list.  ``payload`` / ``duration`` hold
+    the in-service tuple between the start and finish events (one tuple
+    in service at a time).  Under a platform, ``machine`` / ``speed``
+    pin the executor to its host (service draws divide by the speed)
+    and ``dead`` marks an executor whose machine failed mid-service:
+    its pending finish event drops the tuple."""
 
     __slots__ = (
         "queue",
         "busy",
         "index",
-        "load",
+        "loads",
         "payload",
         "duration",
         "machine",
@@ -293,11 +326,11 @@ class _Executor:
         "dead",
     )
 
-    def __init__(self, index: int = 0):
+    def __init__(self, index: int = 0, loads: Optional[List[int]] = None):
         self.queue: deque = deque()
         self.busy = False
         self.index = index
-        self.load = 0
+        self.loads = loads
         self.payload = None
         self.duration = 0.0
         self.machine = 0
@@ -363,20 +396,25 @@ class _OperatorRuntime:
         "shared",
         "jsq",
         "executors",
+        "jsq_loads",
         "jsq_heap",
         "jsq_rebuild",
         "shared_queue",
         "held",
         "queued",
         "processed",
-        "wait_stats",
-        "service_stats",
+        "wait_count",
+        "wait_mean",
+        "service_count",
+        "service_mean",
         "out_routes",
         "sample_service",
         "service_rng",
         "service_acc",
         "service_random",
         "service_rate",
+        "service_mu",
+        "service_sigma",
         "full",
         "full_routes",
     )
@@ -386,36 +424,50 @@ class _OperatorRuntime:
         self.shared = discipline == "shared"
         self.jsq = discipline == "jsq"
         self.executors: List[_Executor] = []
+        self.jsq_loads: Optional[List[int]] = None
         self.jsq_heap: Optional[List[Tuple[int, int]]] = None
+        self.jsq_rebuild = 0
         self.shared_queue: deque = deque()
         self.held: deque = deque()  # buffer used while paused
         self.queued = 0  # len(shared_queue) + len(held) + sum executor queues
         self.processed = 0
-        # Per-stage observability: time spent waiting in this operator's
-        # queues and in service (validated against M/M/k theory in tests).
-        self.wait_stats = WelfordAccumulator()
-        self.service_stats = WelfordAccumulator()
+        # Per-stage observability: count and running mean of the time
+        # spent waiting in this operator's queues and in service
+        # (validated against M/M/k theory in tests).
+        self.wait_count = 0
+        self.wait_mean = 0.0
+        self.service_count = 0
+        self.service_mean = 0.0
         # Hot-path bindings filled in by TopologyRuntime.__init__.
         self.out_routes: Tuple[_Route, ...] = ()
         self.sample_service = service.sample
         self.service_rng = None
         self.service_acc = None  # the measurer's SampledAccumulator
-        # Exponential services (the overwhelmingly common case) are drawn
-        # inline as ``-log(1.0 - rng.random()) / rate`` — the exact
-        # ``random.Random.expovariate`` formula (Python 3.10–3.12) on the
-        # same stream, minus two interpreter frames per draw.
+        # Exponential and lognormal services are drawn inline with the
+        # exact ``random.Random`` formulas (Python 3.10–3.12) on the same
+        # stream, minus the interpreter frames of a ``sample`` call:
+        # ``service_random`` is the stream's ``random``; ``service_sigma``
+        # is ``None`` for an exponential (``service_rate``) and the
+        # lognormal's sigma otherwise (with ``service_mu``).
         self.service_random: Optional[Callable[[], float]] = None
         self.service_rate = 0.0
+        self.service_mu = 0.0
+        self.service_sigma: Optional[float] = None
         # Backpressure state (inert without it): ``full`` marks a queue
         # at its limit; ``full_routes`` counts out-routes into one.
         self.full = False
         self.full_routes = 0
 
     def set_executors(self, k: int) -> None:
-        """Install ``k`` fresh executors (and a fresh jsq heap when the
-        parallelism warrants one)."""
-        self.executors = [_Executor(i) for i in range(k)]
-        if self.jsq and k >= _JSQ_HEAP_MIN:
+        """Install ``k`` fresh executors (with a fresh jsq load list, and
+        a jsq heap when the parallelism warrants one)."""
+        if not self.jsq:
+            self.executors = [_Executor(i) for i in range(k)]
+            return
+        loads = [0] * k
+        self.jsq_loads = loads
+        self.executors = [_Executor(i, loads) for i in range(k)]
+        if k >= _JSQ_HEAP_MIN:
             self.jsq_heap = [(0, i) for i in range(k)]  # sorted == heapified
             # Compact stale pairs when the heap outgrows this bound.
             self.jsq_rebuild = max(64, 8 * k)
@@ -515,6 +567,10 @@ class TopologyRuntime:
             if type(service_dist) is ExponentialDistribution:
                 runtime.service_random = runtime.service_rng.random
                 runtime.service_rate = service_dist.rate
+            elif type(service_dist) is LogNormalDistribution:
+                runtime.service_random = runtime.service_rng.random
+                runtime.service_mu = service_dist.mu
+                runtime.service_sigma = service_dist.sigma
             runtime.out_routes = tuple(
                 _Route(edge, self._operators[edge.target], self._measurer, hop)
                 for edge in topology.out_edges(name)
@@ -719,17 +775,11 @@ class TopologyRuntime:
                 for name, runtime in self._operators.items()
             },
             per_operator_wait={
-                name: (
-                    runtime.wait_stats.mean if runtime.wait_stats.count else None
-                )
+                name: runtime.wait_mean if runtime.wait_count else None
                 for name, runtime in self._operators.items()
             },
             per_operator_service={
-                name: (
-                    runtime.service_stats.mean
-                    if runtime.service_stats.count
-                    else None
-                )
+                name: runtime.service_mean if runtime.service_count else None
                 for name, runtime in self._operators.items()
             },
             rebalances=self._rebalances,
@@ -745,34 +795,23 @@ class TopologyRuntime:
     def _window_summary(self, warmup: float) -> tuple:
         """(mean, std, p95) of the completions with ``t >= warmup``.
 
-        Completion times are nondecreasing, so the warmup cut is a
-        bisect instead of a full scan; p95 is selected with
-        ``heapq.nlargest`` instead of a full sort; and the result is
-        cached per ``(warmup, completion_count)`` so per-window report
-        rendering does not re-sort an unchanged window on every call.
+        The result is cached per ``(warmup, completion_count)`` so
+        per-window report rendering does not re-scan an unchanged window
+        on every call.
         """
         times = self._completion_times
         key = (warmup, len(times))
         cached = self._stats_cache.get(key)
         if cached is not None:
             return cached
-        sojourns = self._completion_sojourns
-        lo = bisect_left(times, warmup) if warmup > 0.0 else 0
-        window = sojourns[lo:]
+        window = self._window(warmup)
         acc = WelfordAccumulator()
         for sojourn in window:
             acc.add(sojourn)
-        p95 = None
-        if window:
-            index = max(0, int(math.ceil(0.95 * len(window))) - 1)
-            # The index-th smallest == the (n - index)-th largest; for a
-            # p95 that's a selection of ~5% of the window, much cheaper
-            # than sorting all of it.
-            p95 = heapq.nlargest(len(window) - index, window)[-1]
         result = (
             acc.mean if acc.count else None,
             acc.std if acc.count else None,
-            p95,
+            _p95(window),
         )
         if len(self._stats_cache) >= 64:
             self._stats_cache.clear()
@@ -790,7 +829,15 @@ class TopologyRuntime:
         if window <= 0:
             raise SimulationError("recent_p95 window must be > 0")
         cut = self._sim.now - window
-        return self._window_summary(cut if cut > 0.0 else 0.0)[2]
+        return _p95(self._window(cut if cut > 0.0 else 0.0))
+
+    def _window(self, warmup: float) -> List[float]:
+        """The sojourns of the completions with ``t >= warmup``.
+
+        Completion times are nondecreasing, so the cut is a bisect
+        instead of a full scan."""
+        lo = bisect_left(self._completion_times, warmup) if warmup > 0.0 else 0
+        return self._completion_sojourns[lo:]
 
     def timeline(self) -> List[Tuple[float, Optional[float], int]]:
         """Per-bucket mean sojourn: [(bucket_start, mean, count), ...].
@@ -816,7 +863,9 @@ class TopologyRuntime:
         ]
 
     def check_conservation(self) -> None:
-        """Every tracked tree is completed, in flight, or dropped.
+        """Every tracked tree is completed, in flight, or dropped, and
+        every jsq executor's entry in its operator's load list is its
+        ``len(queue) + busy``.
 
         Closed-loop runs add the clients' own identities
         (:meth:`ClosedLoopClients.check_conservation`).
@@ -828,6 +877,18 @@ class TopologyRuntime:
                 f"conservation violated: {self._external_tuples} external"
                 f" tuples but {accounted} accounted for"
             )
+        for op in self._operators.values():
+            loads = op.jsq_loads
+            if loads is None:
+                continue
+            for executor in op.executors:
+                held = len(executor.queue) + executor.busy
+                if loads[executor.index] != held:
+                    raise SimulationError(
+                        f"conservation violated: {op.name} executor"
+                        f" {executor.index} has load"
+                        f" {loads[executor.index]} but holds {held} tuples"
+                    )
         if self._clients is not None:
             self._clients.check_conservation(self._external_tuples)
 
@@ -880,17 +941,19 @@ class TopologyRuntime:
                 if size > self._max_tree_size:
                     self._drop_oversized(root)
                     state = None
-            arrivals = route.arrivals
-            delay = route.transfer
-            op = route.op
-            sel = route.sel
-            for _ in range(count):
-                arrivals._count += 1
-                if ext_counter is not None:
-                    ext_counter._count += 1
-                if delay > 0.0:
-                    sim.schedule_event(delay, self._kind_hop, route, payload)
-                else:
+            route.arrivals._count += count
+            if ext_counter is not None:
+                ext_counter._count += count
+            if route.transfer > 0.0:
+                # One event for all copies: they would share a time and
+                # consecutive sequence numbers, so none can interleave.
+                sim.schedule_event(
+                    route.transfer, self._kind_hop, route, (payload, count)
+                )
+            else:
+                op = route.op
+                sel = route.sel
+                for _ in range(count):
                     self._deliver(op, payload, sel)
 
     def _inject(self, routes, now: float) -> None:
@@ -921,9 +984,16 @@ class TopologyRuntime:
         gap = source.next_gap(sim._now, source.rng)
         sim.schedule_event(gap, self._kind_spout, source)
 
-    def _on_hop(self, route: _Route, payload: dict) -> None:
-        """A tuple arrives at its target after a non-zero hop delay."""
-        self._deliver(route.op, payload, route.sel)
+    def _on_hop(self, route: _Route, batch: Tuple[dict, int]) -> None:
+        """``count`` copies of a tuple arrive at their target after a
+        non-zero hop delay; each counts as one processed event."""
+        payload, count = batch
+        if count > 1:
+            self._sim._processed += count - 1
+        op = route.op
+        sel = route.sel
+        for _ in range(count):
+            self._deliver(op, payload, sel)
 
     def _on_finish(self, op: _OperatorRuntime, executor: _Executor) -> None:
         """Service completion: emit downstream tuples, then pull the
@@ -975,16 +1045,16 @@ class TopologyRuntime:
                 state[1] = pending
                 self._tracker.complete_one(root, now)  # raises the error
         executor.busy = False
-        jheap = op.jsq_heap
-        if jheap is not None:
-            load = executor.load - 1
-            executor.load = load
+        loads = executor.loads
+        if loads is not None:
             index = executor.index
-            executors = op.executors
-            # Guard against executors orphaned by a rebalance resize:
-            # their finish events still fire, but they no longer belong
-            # to the (new) heap.
-            if index < len(executors) and executors[index] is executor:
+            load = loads[index] - 1
+            loads[index] = load
+            jheap = op.jsq_heap
+            # An executor orphaned by a resize still finishes, but its
+            # list is no longer the operator's and its pair no longer
+            # belongs in the (new) heap.
+            if jheap is not None and loads is op.jsq_loads:
                 _heappush(jheap, (load, index))
         if op.shared:
             self._kick_shared(op)
@@ -1046,6 +1116,7 @@ class TopologyRuntime:
         # under which the M/M/k model is accurate.  Key-based groupings
         # (fields/global/broadcast) are always honoured exactly.
         if grouping is None:
+            loads = op.jsq_loads
             jheap = op.jsq_heap
             if jheap is not None:
                 # Lazy min-heap: pop stale (load, index) pairs until the
@@ -1055,30 +1126,23 @@ class TopologyRuntime:
                 # the scan's answer: minimum load, lowest index on ties.
                 while True:
                     load, index = jheap[0]
-                    executor = executors[index]
-                    if executor.load == load:
+                    if loads[index] == load:
                         break
                     _heappop(jheap)
                 load += 1
-                executor.load = load
+                loads[index] = load
                 _heappush(jheap, (load, index))
                 if len(jheap) > op.jsq_rebuild:
                     # Rare compaction: drop stale pairs (a sorted list of
                     # the current pairs is already a valid heap).
-                    jheap[:] = sorted(
-                        (ex.load, i) for i, ex in enumerate(executors)
-                    )
-            elif op.jsq:
-                best_index = 0
-                best_load = math.inf
-                for index, executor in enumerate(executors):
-                    load = len(executor.queue) + (1 if executor.busy else 0)
-                    if load < best_load:
-                        best_load = load
-                        best_index = index
-                        if load == 0:
-                            break
-                executor = executors[best_index]
+                    jheap[:] = sorted(zip(loads, range(n)))
+                executor = executors[index]
+            elif loads is not None:
+                # Minimum load, lowest index on ties.
+                load = min(loads)
+                index = loads.index(load)
+                loads[index] = load + 1
+                executor = executors[index]
             else:  # hashed
                 executor = executors[self._route_randrange(n)]
             if can_start and not executor.busy and not executor.queue:
@@ -1108,19 +1172,19 @@ class TopologyRuntime:
                 state[2] += copies - 1
                 if state[2] > self._max_tree_size:
                     self._drop_oversized(root)
+        loads = op.jsq_loads
         jheap = op.jsq_heap
         for index in indices:
             executor = executors[index]
             executor.queue.append((payload, now))
             op.queued += 1
-            if jheap is not None:
-                load = executor.load + 1
-                executor.load = load
-                _heappush(jheap, (load, index))
-                if len(jheap) > op.jsq_rebuild:
-                    jheap[:] = sorted(
-                        (ex.load, i) for i, ex in enumerate(executors)
-                    )
+            if loads is not None:
+                load = loads[index] + 1
+                loads[index] = load
+                if jheap is not None:
+                    _heappush(jheap, (load, index))
+                    if len(jheap) > op.jsq_rebuild:
+                        jheap[:] = sorted(zip(loads, range(n)))
             if can_start and not executor.busy:
                 self._begin_service(op, executor)
 
@@ -1180,37 +1244,30 @@ class TopologyRuntime:
             op.queued -= 1
         sim = self._sim
         now = sim._now
-        # inline WelfordAccumulator.add (queue wait)
-        value = now - enqueued_at
-        ws = op.wait_stats
-        n = ws._n + 1
-        ws._n = n
-        delta = value - ws._mean
-        mean = ws._mean + delta / n
-        ws._mean = mean
-        ws._m2 += delta * (value - mean)
-        if value < ws._min:
-            ws._min = value
-        if value > ws._max:
-            ws._max = value
+        # running means (WelfordAccumulator's recurrence) of the queue
+        # wait and the service time
+        n = op.wait_count + 1
+        op.wait_count = n
+        mean = op.wait_mean
+        op.wait_mean = mean + (now - enqueued_at - mean) / n
         srandom = op.service_random
-        if srandom is not None:  # inline expovariate
-            duration = -_log(1.0 - srandom()) / op.service_rate
-        else:
+        if srandom is None:
             duration = op.sample_service(op.service_rng)
+        elif op.service_sigma is None:  # inline expovariate
+            duration = -_log(1.0 - srandom()) / op.service_rate
+        else:  # inline lognormvariate: exp(normalvariate(mu, sigma))
+            while True:
+                u1 = srandom()
+                u2 = 1.0 - srandom()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            duration = _exp(op.service_mu + z * op.service_sigma)
         duration /= executor.speed
-        # inline WelfordAccumulator.add (service time)
-        ss = op.service_stats
-        n = ss._n + 1
-        ss._n = n
-        delta = duration - ss._mean
-        mean = ss._mean + delta / n
-        ss._mean = mean
-        ss._m2 += delta * (duration - mean)
-        if duration < ss._min:
-            ss._min = duration
-        if duration > ss._max:
-            ss._max = duration
+        n = op.service_count + 1
+        op.service_count = n
+        mean = op.service_mean
+        op.service_mean = mean + (duration - mean) / n
         executor.payload = payload
         executor.duration = duration
         # inline Simulator.schedule_event
